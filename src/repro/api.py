@@ -323,7 +323,6 @@ def run_scenario(
     seed: int = 0,
     duration: float = PAPER_CONFIG.duration,
     warmup: float = PAPER_CONFIG.warmup,
-    reference: bool | None = None,
     backend: str | None = None,
 ) -> SimulationResult:
     """Simulate one seed of a scenario; returns the full per-pair result.
@@ -332,10 +331,9 @@ def run_scenario(
     (the paper's protocol: 110 units, first 10 discarded).  ``backend``
     selects the simulation engine — ``"auto"`` (default), ``"batch"``,
     ``"fast"``, or ``"reference"`` for the unvectorized oracle loop; all
-    produce bit-identical statistics.  The legacy ``reference=True`` flag
-    maps to ``backend="reference"`` with a :class:`DeprecationWarning`.
+    produce bit-identical statistics.
     """
-    resolved = resolve_backend(backend, reference, owner="run_scenario")
+    resolved = resolve_backend(backend)
     trace = scenario.make_trace(duration, seed)
     return simulate(
         scenario.network, scenario.build_policy(), trace, warmup,
@@ -388,7 +386,7 @@ def run_study(
     served from its result store without simulating — so
     ``wall_clock`` then measures the store lookup, not a simulation.
     """
-    backend = resolve_backend(backend, None, owner="run_study")
+    backend = resolve_backend(backend)
     if lab is not None:
         from .lab.scheduler import run_lab_study
 

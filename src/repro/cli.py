@@ -600,7 +600,7 @@ def _cmd_lab_gc(args: argparse.Namespace) -> int:
 def _serve_pieces(args: argparse.Namespace):
     """(network, policy, scenario) for the serve group's scenario flags."""
     from .api import Scenario
-    from .serve.state import _SUPPORTED_DISCIPLINES
+    from .routing.table import FIRST_FEASIBLE
 
     try:
         scenario = Scenario(
@@ -616,9 +616,9 @@ def _serve_pieces(args: argparse.Namespace):
         raise SystemExit(f"serve: {exc}")
     # Checked here (not only in NetworkState) so `serve bench`, which builds
     # its own engines internally, fails with the same one-line message.
-    if policy.discipline not in _SUPPORTED_DISCIPLINES:
+    if policy.discipline not in FIRST_FEASIBLE:
         raise SystemExit(
-            f"serve: supports disciplines {_SUPPORTED_DISCIPLINES}, got "
+            f"serve: supports disciplines {FIRST_FEASIBLE}, got "
             f"{policy.discipline!r} (policy {policy.name!r})"
         )
     return scenario.network, policy, scenario

@@ -20,32 +20,6 @@ __all__ = ["CONTROLLER_NAMES", "make_control_loop"]
 CONTROLLER_NAMES = ("gradient", "markov")
 
 
-def _hop_lengths(state: NetworkState) -> tuple[int, ...]:
-    if state.length_thresholds is not None:
-        return tuple(sorted(state.length_thresholds))
-    hops = getattr(state.policy, "max_hops", None)
-    if hops is None:
-        hops = max(
-            (len(alt) for entries in state.policy.choices.values()
-             for choice in entries for alt in choice.alternates),
-            default=1,
-        )
-    if isinstance(hops, np.ndarray):
-        hops = int(hops.max())
-    return (int(hops),)
-
-
-def _initial_levels(state: NetworkState) -> dict[int, np.ndarray]:
-    capacities = state.capacities
-    if state.length_thresholds is not None:
-        return {
-            int(h): (capacities - row).astype(np.int64)
-            for h, row in state.length_thresholds.items()
-        }
-    (h,) = _hop_lengths(state)
-    return {h: (capacities - state.alt_thresholds).astype(np.int64)}
-
-
 def make_control_loop(
     state: NetworkState,
     table: PathTable,
@@ -79,13 +53,16 @@ def make_control_loop(
         prior_strength=prior_strength,
         volatility_boost=volatility_boost,
     )
-    hop_lengths = _hop_lengths(state)
+    # One hop family per row the route table keys its bounds by (the
+    # scalar discipline has exactly one), starting from the levels in force.
+    hop_lengths = tuple(sorted(state.table.rows))
     if controller == "gradient":
+        levels = {
+            h: state.capacities - np.asarray(row, dtype=np.int64)
+            for h, row in state.table.rows.items()
+        }
         strategy = ErlangGradientController(
-            state.network,
-            hop_lengths,
-            _initial_levels(state),
-            trust_radius=trust_radius,
+            state.network, hop_lengths, levels, trust_radius=trust_radius
         )
     else:
         alternates = {

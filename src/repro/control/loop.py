@@ -24,8 +24,6 @@ import json
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..serve.state import NetworkState
 from ..serve.telemetry import MetricsRegistry
 from .controllers import Controller, ControlProposal, SafetyClamp
@@ -157,45 +155,23 @@ class ControlLoop:
             int(h): tuple(int(v) for v in (capacities - levels))
             for h, levels in proposal.levels.items()
         }
-        if self.pinned_epoch is not None:
-            self._m_skipped.inc()
-            return ControlStep(
-                time=now,
-                epoch=state.policy_epoch,
-                applied=False,
-                objective=proposal.objective,
-                max_delta=0.0,
-                clamp_lifted=lifted,
-                swap_seconds=0.0,
-                confidence=float(estimate.confidence),
-                volatility=float(estimate.volatility),
-                thresholds=thresholds,
-                alt_prefix=proposal.alt_prefix,
-                info=dict(proposal.info),
-            )
-        start = time.perf_counter()
-        if state.length_thresholds is not None:
-            tables = {
-                h: np.asarray(row, dtype=np.int64)
-                for h, row in thresholds.items()
-                if h in state.length_thresholds
-            }
-            max_delta = state.hot_swap(length_thresholds=tables, now=now)
-        else:
-            # Scalar discipline: one hop family; its thresholds are the bound.
-            h = min(thresholds)
+        applied = self.pinned_epoch is None
+        max_delta = swap_seconds = 0.0
+        if applied:
+            start = time.perf_counter()
             max_delta = state.hot_swap(
-                alt_thresholds=np.asarray(thresholds[h], dtype=np.int64),
-                now=now,
+                **state.table.swap_arguments(thresholds), now=now
             )
-        swap_seconds = time.perf_counter() - start
-        self.active_prefix = proposal.alt_prefix
-        self._m_swaps.inc()
-        self._m_swap_seconds.observe(swap_seconds)
+            swap_seconds = time.perf_counter() - start
+            self.active_prefix = proposal.alt_prefix
+            self._m_swaps.inc()
+            self._m_swap_seconds.observe(swap_seconds)
+        else:
+            self._m_skipped.inc()
         return ControlStep(
             time=now,
             epoch=state.policy_epoch,
-            applied=True,
+            applied=applied,
             objective=proposal.objective,
             max_delta=float(max_delta),
             clamp_lifted=lifted,

@@ -26,7 +26,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .._compat import positional_shim, resolve_backend
+from .._compat import resolve_backend
 from ..routing.base import RoutingPolicy
 from ..sim.batch import batch_ineligibility, simulate_batch
 from ..sim.metrics import SimulationResult, SweepStatistic, aggregate
@@ -109,13 +109,11 @@ def _timed_call(worker: Callable, payload) -> tuple[float, SimulationResult]:
     return time.perf_counter() - start, result
 
 
-@positional_shim
 @dataclass(frozen=True, kw_only=True)
 class ReplicationConfig:
     """Replication parameters; defaults reproduce the paper's setup.
 
     Keyword-only: construct as ``ReplicationConfig(measured_duration=...)``.
-    Positional construction still works but is deprecated.
     """
 
     measured_duration: float = 100.0
@@ -400,7 +398,7 @@ def run_replications_detailed(
     reported in the outcome's statuses; the sweep still completes unless
     *every* seed failed (then ``RuntimeError``).
     """
-    backend = resolve_backend(backend, None, owner="run_replications_detailed")
+    backend = resolve_backend(backend)
     per_seed_backend = backend if backend in ("fast", "reference") else "auto"
     used_batch = False
     if parallel and traces is None:

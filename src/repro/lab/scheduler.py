@@ -463,7 +463,7 @@ def run_lab_study(
     from ..api import BatchResult, StudyResult
     from .._compat import resolve_backend
 
-    backend = resolve_backend(backend, None, owner="run_lab_study")
+    backend = resolve_backend(backend)
     lab = lab if lab is not None else LabConfig()
     store = ResultStore(lab.store_path)
     names = (scenario.policy,) if policies is None else tuple(policies)

@@ -18,11 +18,13 @@ from .least_busy import LeastBusyAlternateRouting
 from .minloss import MinLossSolution, optimize_primary_flows
 from .shadow import OttKrishnanRouting, link_shadow_prices
 from .single_path import SinglePathRouting
+from .table import RouteTable
 
 __all__ = [
     "RouteChoice",
     "RoutingPolicy",
     "compile_route_choices",
+    "RouteTable",
     "SinglePathRouting",
     "UncontrolledAlternateRouting",
     "ControlledAlternateRouting",

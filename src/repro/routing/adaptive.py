@@ -11,33 +11,29 @@ tracking of nonstationary load (pair with
 
 The run loop mirrors :class:`repro.sim.simulator.LossNetworkSimulator`'s
 threshold discipline with two additions: per-link set-up counters and the
-periodic threshold refresh.
+periodic threshold refresh — the serving plane's own
+(:class:`repro.serve.state.NetworkState` with an
+:class:`~repro.serve.state.AdaptationConfig`), whose refreshed route table
+the loop then admits from.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.protection import min_protection_level
+from ..serve.state import AdaptationConfig, NetworkState, ThresholdRefresh
 from ..sim.metrics import SimulationResult
 from ..sim.trace import ArrivalTrace
 from ..topology.graph import Network
 from ..topology.paths import PathTable
-from .base import RoutingPolicy, compile_route_choices
+from .alternate import UncontrolledAlternateRouting
 
 __all__ = ["AdaptiveProtectionSimulator", "ThresholdUpdate", "simulate_adaptive"]
 
-
-@dataclass(frozen=True)
-class ThresholdUpdate:
-    """One protection refresh: the time and the per-link levels adopted."""
-
-    time: float
-    estimated_loads: np.ndarray
-    protection_levels: np.ndarray
+#: One protection refresh: the time and the per-link levels adopted.
+ThresholdUpdate = ThresholdRefresh
 
 
 class AdaptiveProtectionSimulator:
@@ -47,7 +43,10 @@ class AdaptiveProtectionSimulator:
     every link folds ``setups_in_window / window`` into its EWMA estimate
     with weight ``ewma_weight`` and recomputes ``r`` for ``max_hops``.
     ``initial_loads`` seeds the estimates (defaults to zero — fully cold
-    start, i.e. links begin unprotected and harden as they learn).
+    start, i.e. links begin unprotected and harden as they learn).  The
+    refresh itself is the serving plane's
+    (:meth:`repro.serve.state.NetworkState.maybe_refresh`), so both
+    planes adapt identically.
     """
 
     def __init__(
@@ -63,37 +62,22 @@ class AdaptiveProtectionSimulator:
     ):
         if warmup < 0 or warmup >= trace.duration:
             raise ValueError("warmup must lie in [0, duration)")
-        if update_interval <= 0:
-            raise ValueError("update_interval must be positive")
-        if not 0 < ewma_weight <= 1:
-            raise ValueError("ewma_weight must lie in (0, 1]")
+        if initial_loads is not None:
+            initial_loads = tuple(np.asarray(initial_loads, dtype=float).tolist())
+            if len(initial_loads) != network.num_links:
+                raise ValueError("initial_loads must be per-link")
         self.network = network
-        self.table = table
         self.trace = trace
         self.warmup = float(warmup)
-        self.update_interval = float(update_interval)
-        self.ewma_weight = float(ewma_weight)
         self.max_hops = table.max_hops if max_hops is None else max_hops
-        if initial_loads is None:
-            self.initial_loads = np.zeros(network.num_links, dtype=float)
-        else:
-            self.initial_loads = np.asarray(initial_loads, dtype=float)
-            if self.initial_loads.shape != (network.num_links,):
-                raise ValueError("initial_loads must be per-link")
-        choices, cum_probs = compile_route_choices(
-            network, table, include_alternates=True
+        self.config = AdaptationConfig(
+            update_interval=float(update_interval),
+            ewma_weight=float(ewma_weight),
+            max_hops=self.max_hops,
+            initial_loads=initial_loads,
         )
-        self._policy = RoutingPolicy(network, choices, cum_probs)
+        self._policy = UncontrolledAlternateRouting(network, table)
         self.updates: list[ThresholdUpdate] = []
-
-    def _recompute(self, estimates: np.ndarray, capacities: list[int]) -> list[int]:
-        levels = [
-            min_protection_level(float(estimates[i]), capacities[i], self.max_hops)
-            if capacities[i] > 0
-            else 0
-            for i in range(self.network.num_links)
-        ]
-        return [capacities[i] - levels[i] for i in range(len(levels))]
 
     def run(self) -> SimulationResult:
         trace = self.trace
@@ -101,33 +85,16 @@ class AdaptiveProtectionSimulator:
         capacities = [int(c) for c in network.capacities()]
         num_links = network.num_links
         num_pairs = len(trace.od_pairs)
-        policy = self._policy
-
-        route_choice = []
-        for od in trace.od_pairs:
-            options = policy.choices.get(od, ())
-            route_choice.append(options[0] if options else None)
+        state = NetworkState(network, self._policy, adaptation=self.config)
+        self.updates = state.refreshes
+        route_choice, __ = state.table.by_pair(trace.od_pairs)
 
         times = trace.times.tolist()
         od_index = trace.od_index.tolist()
         holding = trace.holding_times.tolist()
         warmup = self.warmup
-        window = self.update_interval
-        weight = self.ewma_weight
-
-        estimates = self.initial_loads.copy()
-        thresholds = self._recompute(estimates, capacities)
-        self.updates = [
-            ThresholdUpdate(
-                time=0.0,
-                estimated_loads=estimates.copy(),
-                protection_levels=np.array(
-                    [capacities[i] - thresholds[i] for i in range(num_links)]
-                ),
-            )
-        ]
         setup_counts = [0] * num_links
-        next_update = window
+        next_update = state.next_refresh
 
         occupancy = [0] * num_links
         departures: list[tuple[float, tuple[int, ...]]] = []
@@ -140,21 +107,12 @@ class AdaptiveProtectionSimulator:
         heap_pop = heapq.heappop
         for call in range(len(times)):
             now = times[call]
-            while now >= next_update:
-                measured = np.asarray(setup_counts, dtype=float) / window
-                estimates = (1.0 - weight) * estimates + weight * measured
-                thresholds = self._recompute(estimates, capacities)
-                self.updates.append(
-                    ThresholdUpdate(
-                        time=next_update,
-                        estimated_loads=estimates.copy(),
-                        protection_levels=np.array(
-                            [capacities[i] - thresholds[i] for i in range(num_links)]
-                        ),
-                    )
-                )
+            if now >= next_update:
+                state.setup_counts[:] = setup_counts
+                state.maybe_refresh(now)
                 setup_counts = [0] * num_links
-                next_update += window
+                next_update = state.next_refresh
+                route_choice, __ = state.table.by_pair(trace.od_pairs)
             while departures and departures[0][0] <= now:
                 __, path = heap_pop(departures)
                 for link in path:
@@ -163,28 +121,29 @@ class AdaptiveProtectionSimulator:
             counted = now >= warmup
             if counted:
                 offered[pair] += 1
-            choice = route_choice[pair]
-            if choice is None:
+            chain = route_choice[pair]
+            if chain is None:
                 if counted:
                     blocked[pair] += 1
                 continue
+            primary, alternates = chain
             # The primary set-up packet passes every primary link, admitted
             # or not — that is what the links measure.
-            for link in choice.primary:
+            for link in primary:
                 setup_counts[link] += 1
-            for link in choice.primary:
+            for link in primary:
                 if occupancy[link] >= capacities[link]:
                     break
             else:
-                for link in choice.primary:
+                for link in primary:
                     occupancy[link] += 1
-                heap_push(departures, (now + holding[call], choice.primary))
+                heap_push(departures, (now + holding[call], primary))
                 if counted:
                     primary_carried += 1
                 continue
-            for alt in choice.alternates:
+            for alt, bounds in alternates:
                 for link in alt:
-                    if occupancy[link] >= thresholds[link]:
+                    if occupancy[link] >= bounds[link]:
                         break
                 else:
                     for link in alt:

@@ -109,11 +109,7 @@ class ControlledAlternateRouting(RoutingPolicy):
             max_alternates=max_alternates,
         )
         super().__init__(network, choices, cum_probs)
-        loads = np.asarray(primary_loads, dtype=float)
-        if loads.shape != (network.num_links,):
-            raise ValueError(
-                f"primary_loads must have shape ({network.num_links},), got {loads.shape}"
-            )
+        loads = self._link_loads(primary_loads)
         if max_hops is not None and per_link_hops is not None:
             raise ValueError("pass either max_hops or per_link_hops, not both")
         capacities = network.capacities()
@@ -167,11 +163,7 @@ class LengthAdaptiveControlledRouting(RoutingPolicy):
             network, table, include_alternates=True, splits=splits
         )
         super().__init__(network, choices, cum_probs)
-        loads = np.asarray(primary_loads, dtype=float)
-        if loads.shape != (network.num_links,):
-            raise ValueError(
-                f"primary_loads must have shape ({network.num_links},), got {loads.shape}"
-            )
+        loads = self._link_loads(primary_loads)
         capacities = network.capacities()
         self.primary_loads = loads
         # Alternate link-tuples have length == hop count; build a threshold

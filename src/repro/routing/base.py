@@ -15,7 +15,9 @@ Two admission disciplines exist:
 * the **shadow-price** policy (Ott-Krishnan) instead scores each candidate
   path by a sum of per-link state-dependent prices.
 
-The simulator dispatches on :attr:`RoutingPolicy.discipline`.
+Every engine admits from the policy's compiled
+:class:`~repro.routing.table.RouteTable`; the event loops dispatch only their
+alternate *selector* on :attr:`RoutingPolicy.discipline`.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ __all__ = ["RouteChoice", "RoutingPolicy", "compile_route_choices"]
 class RouteChoice:
     """One primary path and its ordered alternates, as link-index tuples.
 
-    Slotted: the simulator materializes one of these per O-D pair per
-    policy compilation and reads ``primary``/``alternates`` on every call,
-    so the fixed layout keeps the per-call record small and the attribute
-    loads cheap.
+    Engines never read these per call: :class:`~repro.routing.table.RouteTable`
+    compiles them once into its chains.
     """
 
     primary: tuple[int, ...]
@@ -88,13 +88,21 @@ class RoutingPolicy:
         self.alt_thresholds: np.ndarray | None = None
         self.price_tables: list[np.ndarray] | None = None
 
+    def _link_loads(self, primary_loads) -> np.ndarray:
+        """``primary_loads`` as floats, checked to be one value per link."""
+        loads = np.asarray(primary_loads, dtype=float)
+        if loads.shape != (self.network.num_links,):
+            raise ValueError(
+                f"primary_loads must have shape ({self.network.num_links},), "
+                f"got {loads.shape}"
+            )
+        return loads
+
     def select_choice(self, od: tuple[int, int], uniform: float) -> RouteChoice:
         """Pick a route choice using the call's uniform variate."""
-        options = self.choices[od]
-        if len(options) == 1:
-            return options[0]
-        index = int(np.searchsorted(self.cum_probs[od], uniform, side="right"))
-        return options[min(index, len(options) - 1)]
+        from .table import choice_index
+
+        return self.choices[od][choice_index(self.cum_probs[od], uniform)]
 
     def describe(self) -> str:
         """Human-readable one-liner for experiment reports."""

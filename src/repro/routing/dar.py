@@ -73,12 +73,7 @@ class _RandomAlternatePolicy(RoutingPolicy):
                 raise ValueError(
                     "pass either trunk_reservation or primary_loads, not both"
                 )
-            loads = np.asarray(primary_loads, dtype=float)
-            if loads.shape != (network.num_links,):
-                raise ValueError(
-                    f"primary_loads must have shape ({network.num_links},), "
-                    f"got {loads.shape}"
-                )
+            loads = self._link_loads(primary_loads)
             hops = table.max_hops if max_hops is None else max_hops
             levels = min_protection_levels(loads, capacities, hops)
         else:

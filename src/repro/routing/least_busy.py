@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.protection import min_protection_level
+from ..core.protection import min_protection_levels
 from ..topology.graph import Network
 from ..topology.paths import PathTable
 from .base import RoutingPolicy, compile_route_choices
@@ -56,11 +56,7 @@ class LeastBusyAlternateRouting(RoutingPolicy):
             network, table, include_alternates=True, max_alternates=max_alternates
         )
         super().__init__(network, choices, cum_probs)
-        loads = np.asarray(primary_loads, dtype=float)
-        if loads.shape != (network.num_links,):
-            raise ValueError(
-                f"primary_loads must have shape ({network.num_links},), got {loads.shape}"
-            )
+        loads = self._link_loads(primary_loads)
         hops = table.max_hops if max_hops is None else max_hops
         capacities = network.capacities()
         if reservation_override is not None:
@@ -70,15 +66,7 @@ class LeastBusyAlternateRouting(RoutingPolicy):
             if (levels < 0).any() or (levels > capacities).any():
                 raise ValueError("reservations must lie in [0, capacity]")
         else:
-            levels = np.array(
-                [
-                    min_protection_level(loads[link.index], int(capacities[link.index]), hops)
-                    if capacities[link.index] > 0
-                    else 0
-                    for link in network.links
-                ],
-                dtype=np.int64,
-            )
+            levels = min_protection_levels(loads, capacities, hops)
         self.max_hops = hops
         self.primary_loads = loads
         self.protection_levels = levels

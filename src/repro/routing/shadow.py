@@ -80,11 +80,7 @@ class OttKrishnanRouting(RoutingPolicy):
             network, table, include_alternates=True, splits=None
         )
         super().__init__(network, choices, cum_probs)
-        loads = np.asarray(primary_loads, dtype=float)
-        if loads.shape != (network.num_links,):
-            raise ValueError(
-                f"primary_loads must have shape ({network.num_links},), got {loads.shape}"
-            )
+        loads = self._link_loads(primary_loads)
         if revenue <= 0:
             raise ValueError("revenue must be positive")
         self.revenue = float(revenue)

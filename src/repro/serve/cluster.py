@@ -63,12 +63,13 @@ import struct
 from dataclasses import dataclass, field
 
 from ..routing.base import RoutingPolicy
+from ..routing.table import choice_index
 from ..sim.sigpolicy import CrankbackPolicy, HoldTimerPolicy, RetryPolicy
 from ..topology.graph import Network
 from .chaos import ChaosConfig, MessageChaos
-from .engine import AdmitRequest, Decision, ReleaseRequest, compile_routes
+from .engine import AdmitRequest, Decision, ReleaseRequest
 from .shard import PRIMARY_KIND
-from .state import NetworkState, PolicySwap, partition_links
+from .state import NetworkState, PolicySwap, partition_links, shard_bounds
 from .supervisor import ShardSupervisor
 from .telemetry import MetricsRegistry
 
@@ -274,10 +275,10 @@ class ClusterRouter:
         self.config = config if config is not None else ClusterConfig()
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.journal = ReservationJournal(self.config.journal_path)
-        # Compile the same dispatch structures the engine uses; NetworkState
-        # is borrowed purely for its shard_spec slicing.
+        # The same route table the engine decides on; NetworkState is
+        # borrowed for its validation and shard_spec slicing.
         state = NetworkState(network, policy)
-        self._routes = compile_routes(policy)
+        self._table = state.table
         self.partitions = partition_links(network.num_links, self.config.num_shards)
         self._link_shard = {
             link: sid
@@ -325,8 +326,6 @@ class ClusterRouter:
         #: workers come back with the bounds in force, not the boot ones.
         self.policy_epoch = 0
         self.swaps: list[PolicySwap] = []
-        self._length_disciplined = policy.discipline == "length-threshold"
-        self._capacities = network.capacities().astype(int).tolist()
         registry = self.telemetry
         self._m_primary = registry.counter("serve_decisions_total", tier="primary")
         self._m_alternate = registry.counter("serve_decisions_total", tier="alternate")
@@ -724,43 +723,33 @@ class ClusterRouter:
 
         A chain entry is ``(path, kind, tier, groups)`` — everything the
         admission loops need per attempt without per-request allocation.
+        The bounds themselves live on the shards, so a hot swap leaves
+        these chains as they are.
         """
         def chain(primary, alternates):
-            path = tuple(primary)
-            entries = [(path, PRIMARY_KIND, "primary", self._groups(path))]
-            for alt in alternates:
-                alt = tuple(alt)
+            entries = [(primary, PRIMARY_KIND, "primary", self._groups(primary))]
+            for alt, __ in alternates:
                 entries.append((alt, len(alt), "alternate", self._groups(alt)))
             return tuple(entries)
 
         compiled: dict = {}
-        for od, entry in self._routes.items():
-            if entry[0] == "single":
-                compiled[od] = ("single", chain(entry[1], entry[2]))
-            else:
-                compiled[od] = (
-                    "multi",
-                    [chain(p, alts) for p, alts in entry[1]],
-                    entry[2],
-                )
+        for od in self._table.routes:
+            chains, cum = self._table.choices(od)
+            compiled[od] = ([chain(*c) for c in chains], cum)
         return compiled
 
     def _candidates_for(self, od, uniform: float):
         """The request's candidate chain, or ``None`` for no route.
 
-        The bifurcation pick mirrors :func:`repro.serve.engine.pick_route`
-        exactly — ordered-mode bit-equivalence depends on it.
+        The bifurcation pick is the route table's own
+        (:func:`repro.routing.table.choice_index`) — ordered-mode
+        bit-equivalence with the engine depends on it.
         """
         entry = self._candidates.get(od)
         if entry is None:
             return None
-        if entry[0] == "single":
-            return entry[1]
-        chains, cum = entry[1], entry[2]
-        pick = 0
-        while pick < len(cum) - 1 and uniform >= cum[pick]:
-            pick += 1
-        return chains[pick]
+        chains, cum = entry
+        return chains[choice_index(cum, uniform)]
 
     async def _admit(self, request: AdmitRequest) -> Decision:
         if request.id in self.journal.held:
@@ -899,10 +888,12 @@ class ClusterRouter:
     ) -> float:
         """Install new admission bounds on every shard, atomically per shard.
 
-        Mirrors :meth:`NetworkState.hot_swap`: exactly one of
-        ``alt_thresholds`` (scalar ``threshold`` discipline) or
-        ``length_thresholds`` (per-hop-length tables) must be given and
-        must match the policy's discipline.  The swap is serialized
+        Mirrors :meth:`NetworkState.hot_swap` through the same validating
+        builder (:meth:`~repro.routing.table.RouteTable.replaced`): exactly
+        one of ``alt_thresholds`` (scalar ``threshold`` discipline) or
+        ``length_thresholds`` (some or all per-hop-length rows; rows left
+        out keep their bounds) must be given and must match the policy's
+        discipline.  The swap is serialized
         against ordered-mode dispatch by the router lock, so no decision
         straddles two policy versions; every shard gets one ``swap``
         command stamped with the new epoch, and the supervisor's respawn
@@ -911,67 +902,17 @@ class ClusterRouter:
         shards only get the spec update; their restart resync brings
         them current.  Returns the max absolute per-link threshold move.
         """
-        if (alt_thresholds is None) == (length_thresholds is None):
-            raise ValueError(
-                "pass exactly one of alt_thresholds or length_thresholds"
-            )
-        capacities = self._capacities
-        num_links = self.network.num_links
-        if alt_thresholds is not None:
-            if self._length_disciplined:
-                raise ValueError(
-                    "cluster policy uses the length-threshold discipline; "
-                    "swap via length_thresholds"
-                )
-            flat = [int(t) for t in alt_thresholds]
-            if len(flat) != num_links:
-                raise ValueError("alt_thresholds must be per-link")
-            tables_full = None
-        else:
-            if not self._length_disciplined:
-                raise ValueError(
-                    "cluster policy uses the scalar threshold discipline; "
-                    "swap via alt_thresholds"
-                )
-            tables_full = {
-                int(h): [int(t) for t in row]
-                for h, row in length_thresholds.items()
-            }
-            for h, row in tables_full.items():
-                if len(row) != num_links:
-                    raise ValueError("length threshold rows must be per-link")
-            # Flat telemetry mirror: the laxest (shortest-hop) table.
-            flat = list(tables_full[min(tables_full)])
-        for vec in [flat] if tables_full is None else tables_full.values():
-            for link, bound in enumerate(vec):
-                if bound < 0 or bound > capacities[link]:
-                    raise ValueError("thresholds must lie in [0, capacity]")
         async with self._lock:
+            self._table, max_delta = self._table.replaced(
+                alt_thresholds=alt_thresholds,
+                length_thresholds=length_thresholds,
+            )
             self.policy_epoch += 1
             epoch = self.policy_epoch
-            max_delta = 0
             calls = []
             for sid, links in enumerate(self.partitions):
                 spec = self.supervisor.specs[sid]
-                thr_slice = {l: flat[l] for l in links}
-                tab_slice = (
-                    None if tables_full is None
-                    else {
-                        h: {l: row[l] for l in links}
-                        for h, row in tables_full.items()
-                    }
-                )
-                old_thr = spec["thresholds"]
-                for l in links:
-                    max_delta = max(max_delta, abs(thr_slice[l] - old_thr[l]))
-                old_tabs = spec.get("tables")
-                if tab_slice is not None and old_tabs:
-                    for h, row in tab_slice.items():
-                        prev = old_tabs.get(h, {})
-                        for l, bound in row.items():
-                            max_delta = max(
-                                max_delta, abs(bound - prev.get(l, bound))
-                            )
+                thr_slice, tab_slice = shard_bounds(self._table, links)
                 spec["thresholds"] = thr_slice
                 spec["tables"] = tab_slice
                 spec["epoch"] = epoch
@@ -986,10 +927,8 @@ class ClusterRouter:
                 await asyncio.gather(*calls, return_exceptions=True)
         self._m_swaps.inc()
         self._m_epoch.set(epoch)
-        self.swaps.append(
-            PolicySwap(time=now, epoch=epoch, max_delta=float(max_delta))
-        )
-        return float(max_delta)
+        self.swaps.append(PolicySwap(time=now, epoch=epoch, max_delta=max_delta))
+        return max_delta
 
     async def submit(self, request: AdmitRequest | ReleaseRequest) -> Decision:
         """Decide one request under the configured mode's concurrency."""

@@ -3,11 +3,12 @@
 One :class:`RequestEngine` owns a :class:`~repro.serve.state.NetworkState`
 and answers :class:`AdmitRequest` / :class:`ReleaseRequest` objects with
 :class:`Decision` objects, applying exactly the simulator's threshold
-admission semantics (see :mod:`repro.sim.simulator`): a primary is
-admitted iff every link has ``width`` free circuits; otherwise alternates
-are tried in policy order and admitted iff every link stays within its
-alternate-admission threshold; bifurcated primaries are picked by the
-request's uniform variate against the policy's cumulative probabilities.
+admission semantics (see :mod:`repro.sim.simulator`) to the state's
+:class:`~repro.routing.table.RouteTable`: a primary is admitted iff every
+link has ``width`` free circuits; otherwise alternates are tried in policy
+order and admitted iff every link stays within the alternate's bound row;
+bifurcated primaries are picked by the request's uniform variate against
+the policy's cumulative probabilities.
 That one-to-one correspondence is load-bearing: replaying an
 :class:`~repro.sim.trace.ArrivalTrace` through the engine must reproduce
 the simulator's per-call decisions bit for bit
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..routing.base import RoutingPolicy
+from ..routing.table import pick
 from ..topology.graph import Network
 from .shed import MODES, OverloadControl
 from .state import NetworkState
@@ -46,9 +48,6 @@ __all__ = [
     "Decision",
     "BatchConfig",
     "RequestEngine",
-    "apply_alt_prefix",
-    "compile_routes",
-    "pick_route",
 ]
 
 #: Batch-size histogram bounds (powers of two up to the sane maximum).
@@ -105,71 +104,6 @@ class Decision:
             "tier": self.tier,
             "reason": self.reason,
         }
-
-
-def compile_routes(policy: RoutingPolicy) -> dict:
-    """Per-O-D dispatch entries from the policy's compiled choices.
-
-    Mirrors the simulator's precompilation: deterministic pairs carry a
-    bare ``("single", primary, alternates)`` entry, bifurcated pairs the
-    candidate list plus cumulative probabilities.  Shared by the
-    in-process engine and the cluster router so both planes route one
-    request identically.
-    """
-    routes: dict[tuple[int, int], tuple] = {}
-    for od, options in policy.choices.items():
-        if not options:
-            continue
-        if len(options) == 1:
-            routes[od] = ("single", options[0].primary, options[0].alternates)
-        else:
-            routes[od] = (
-                "multi",
-                [(c.primary, c.alternates) for c in options],
-                policy.cum_probs[od].tolist(),
-            )
-    return routes
-
-
-def apply_alt_prefix(
-    routes: dict, prefix: dict[tuple[int, int], int]
-) -> dict:
-    """Truncate each pair's alternate list to its controller-chosen prefix.
-
-    Entries absent from ``prefix`` keep their full alternate set; the
-    input dict is not mutated (the engine swaps the whole table so a
-    batch in flight keeps routing against a consistent snapshot).
-    """
-    out = dict(routes)
-    for od, keep in prefix.items():
-        entry = routes.get(od)
-        if entry is None:
-            continue
-        if entry[0] == "single":
-            out[od] = ("single", entry[1], entry[2][:keep])
-        else:
-            out[od] = (
-                "multi",
-                [(primary, alts[:keep]) for primary, alts in entry[1]],
-                entry[2],
-            )
-    return out
-
-
-def pick_route(entry: tuple, uniform: float) -> tuple:
-    """Resolve one dispatch entry to ``(primary, alternates)``.
-
-    Bifurcated pairs are picked by the request's uniform variate against
-    the cumulative probabilities — byte-compatible with the simulator's
-    common-random-numbers choice.
-    """
-    if entry[0] == "single":
-        return entry[1], entry[2]
-    options, cum = entry[1], entry[2]
-    pick = 0
-    while pick < len(cum) - 1 and uniform >= cum[pick]:
-        pick += 1
-    return options[pick]
 
 
 @dataclass(frozen=True)
@@ -237,10 +171,9 @@ class RequestEngine:
         self.queue_depth = 0
         self.decisions_total = 0
         self._capacities = self.state.capacities.tolist()
-        self._routes = self._compile_routes(policy)
-        #: Untruncated route table; controller alternate-prefix proposals
-        #: are always applied against this, never compounded.
-        self._base_routes = self._routes
+        #: (table, alternate prefix) the decided-on routes were built from.
+        self._routes_from = None
+        self._routes = self._sync_routes()
         #: Per-pair setup/block counts accumulated for the control loop
         #: (persist across batches; a batch may end mid-window).
         self._ctrl_arrivals: dict[tuple[int, int], int] = {}
@@ -294,9 +227,18 @@ class RequestEngine:
         ):
             gauge.set(int(value))
 
-    #: Kept as a staticmethod alias for callers that reached through the
-    #: class; the shared implementation is module-level :func:`compile_routes`.
-    _compile_routes = staticmethod(compile_routes)
+    def _sync_routes(self) -> dict:
+        """The route entries to decide on: the state's table, truncated to
+        the control loop's active alternate prefix (always applied to the
+        untruncated table, never compounded), rebuilt when either changed."""
+        table = self.state.table
+        prefix = None if self.control is None else self.control.active_prefix
+        if (table, prefix) != self._routes_from:
+            self._routes_from = (table, prefix)
+            if prefix is not None:
+                table = table.truncated(prefix)
+            self._routes = table.routes
+        return self._routes
 
     # ----------------------------------------------------------- public API
 
@@ -315,7 +257,8 @@ class RequestEngine:
         """
         start = time.perf_counter()
         state = self.state
-        occupancy, thresholds, tables = state.arrays()
+        occupancy = state.occupancy.tolist()
+        routes = self._sync_routes()
         adapt = state.adaptation is not None
         recomputes_before = state.recompute_count if adapt else 0
         setups = [0] * len(occupancy) if adapt else None
@@ -327,7 +270,6 @@ class RequestEngine:
         epoch_before = state.policy_epoch
         capacities = self._capacities
         held = self.held
-        routes = self._routes
         control = self.overload
         clock = self.clock
         queue_depth = self.queue_depth
@@ -358,7 +300,7 @@ class RequestEngine:
                 state.absorb(occupancy, setups)
                 setups = [0] * len(occupancy)
                 state.maybe_refresh(now)
-                occupancy, thresholds, tables = state.arrays()
+                routes = self._sync_routes()
                 next_refresh = state.next_refresh
             if next_ctrl is not None and now >= next_ctrl:
                 # Control window boundary: hand the accumulated per-pair
@@ -368,12 +310,7 @@ class RequestEngine:
                 ctrl_arrivals.clear()
                 ctrl_blocked.clear()
                 if step is not None and step.applied:
-                    if step.alt_prefix is not None:
-                        self._routes = apply_alt_prefix(
-                            self._base_routes, step.alt_prefix
-                        )
-                        routes = self._routes
-                    occupancy, thresholds, tables = state.arrays()
+                    routes = self._sync_routes()
                 next_ctrl = ctrl.next_step
             mode = "normal" if control is None else control.classify(now, queue_depth)
             if mode == "shed":
@@ -393,12 +330,7 @@ class RequestEngine:
             if entry[0] == "single":
                 primary, alternates = entry[1], entry[2]
             else:
-                options, cum = entry[1], entry[2]
-                u = request.uniform
-                pick = 0
-                while pick < len(cum) - 1 and u >= cum[pick]:
-                    pick += 1
-                primary, alternates = options[pick]
+                primary, alternates = pick(entry, request.uniform)
             width = request.width
             if ctrl is not None:
                 od = request.od
@@ -425,23 +357,13 @@ class RequestEngine:
                 rejected["degraded"] += 1
                 continue
             path = None
-            if tables is None:
-                for alt in alternates:
-                    for link in alt:
-                        if occupancy[link] + width > thresholds[link]:
-                            break
-                    else:
-                        path = alt
+            for alt, bounds in alternates:
+                for link in alt:
+                    if occupancy[link] + width > bounds[link]:
                         break
-            else:
-                for alt in alternates:
-                    bounds = tables[len(alt)]
-                    for link in alt:
-                        if occupancy[link] + width > bounds[link]:
-                            break
-                    else:
-                        path = alt
-                        break
+                else:
+                    path = alt
+                    break
             if path is None:
                 append(Decision(request.id, False, None, "none", "blocked"))
                 rejected["blocked"] += 1

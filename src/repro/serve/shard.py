@@ -102,12 +102,13 @@ class ShardWorker:
 
     # -------------------------------------------------------------- helpers
 
-    def _bound(self, link: int, kind: int) -> int:
+    def _bounds(self, kind: int) -> dict[int, int]:
+        """The per-link bounds an attempt of ``kind`` is checked against."""
         if kind == PRIMARY_KIND:
-            return self.capacities[link]
+            return self.capacities
         if self.tables is not None:
-            return self.tables[kind][link]
-        return self.thresholds[link]
+            return self.tables[kind]
+        return self.thresholds
 
     def _remember(self, rid: str, result: int) -> int:
         self.recent[rid] = result
@@ -141,36 +142,27 @@ class ShardWorker:
             os._exit(17)  # deterministic chaos crash: no cleanup, no flush
         self.ops += 1
         op = command[0]
-        if op == "reserve":
+        if op == "reserve" or op == "rescommit":
             __, rid, links, width, kind = command
             cached = self.recent.get(rid)
             if cached is not None:
                 return cached
+            bounds = self._bounds(kind)
             for link in links:
-                if self.occupancy[link] + width > self._bound(link, kind):
+                if self.occupancy[link] + width > bounds[link]:
                     self.tallies["shard_refusals"] += 1
                     return self._remember(rid, 0)
             for link in links:
                 self.occupancy[link] += width
+            if op == "rescommit":
+                self.tallies["shard_commits"] += 1
+                return self._remember(rid, 1)
             due = (
                 float("inf") if self.hold_timer is None
                 else self.clock() + self.hold_timer
             )
             self.pending[rid] = (tuple(links), width, due)
             self.tallies["shard_reserves"] += 1
-            return self._remember(rid, 1)
-        if op == "rescommit":
-            __, rid, links, width, kind = command
-            cached = self.recent.get(rid)
-            if cached is not None:
-                return cached
-            for link in links:
-                if self.occupancy[link] + width > self._bound(link, kind):
-                    self.tallies["shard_refusals"] += 1
-                    return self._remember(rid, 0)
-            for link in links:
-                self.occupancy[link] += width
-            self.tallies["shard_commits"] += 1
             return self._remember(rid, 1)
         if op == "commit":
             __, rid = command

@@ -3,16 +3,19 @@
 The offline simulators rebuild occupancy from scratch per run; the serving
 plane instead holds one long-lived :class:`NetworkState`: per-link
 occupancies in a NumPy array with O(1) per-link admit/release, the
-per-link alternate-admission thresholds of the compiled policy, and —
+policy's compiled :class:`~repro.routing.table.RouteTable` (every pair's
+candidate chains bound to their alternate-admission rows), and —
 optionally — the same online protection-level adaptation loop as
 :class:`repro.routing.adaptive.AdaptiveProtectionSimulator`: links count
 the primary set-ups that fly past them, periodically fold the measured
 rate into an EWMA demand estimate, and recompute their Equation-15
 protection levels via :func:`repro.core.protection.min_protection_level`.
 
-With adaptation off (the default) the thresholds are exactly the policy's
-static ones, which is what makes a trace replay through the engine
+With adaptation off (the default) the table is exactly the policy's
+static one, which is what makes a trace replay through the engine
 bit-comparable to :class:`repro.sim.simulator.LossNetworkSimulator`.
+Hot swaps and adaptation refreshes never edit a table: they build its
+replacement through :meth:`RouteTable.replaced` and install it whole.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from ..core.protection import min_protection_levels
 from ..routing.base import RoutingPolicy
+from ..routing.table import FIRST_FEASIBLE, RouteTable
 from ..topology.graph import Network
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "PolicySwap",
     "ThresholdRefresh",
     "partition_links",
+    "shard_bounds",
 ]
 
 
@@ -52,8 +57,21 @@ def partition_links(num_links: int, num_shards: int) -> tuple[tuple[int, ...], .
         tuple(range(bounds[s], bounds[s + 1])) for s in range(num_shards)
     )
 
-#: Disciplines the serving plane speaks: the paper's threshold family.
-_SUPPORTED_DISCIPLINES = ("threshold", "length-threshold")
+
+def shard_bounds(table: RouteTable, links: Sequence[int]) -> tuple[dict, dict | None]:
+    """One shard's slice of ``table`` in the shard wire format.
+
+    ``(thresholds, tables)``: the flat per-link bound row and, for a
+    ``length-threshold`` table, every per-length row — each keyed by
+    *global* link id, so the worker never imports the policy.
+    """
+    flat = table.flat
+    rows = table.length_rows
+    return (
+        {link: flat[link] for link in links},
+        None if rows is None
+        else {h: {link: row[link] for link in links} for h, row in rows.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -100,19 +118,18 @@ class PolicySwap:
 
 
 class NetworkState:
-    """Occupancies + thresholds for one network under one compiled policy.
+    """Occupancies + route table for one network under one compiled policy.
 
     ``occupancy`` is the authoritative per-link circuit count
     (``np.int64``); :meth:`admit` and :meth:`release` book and free one
-    path in O(path length).  ``alt_thresholds`` is the mutable per-link
-    alternate-admission bound (``C - r``); for the ``length-threshold``
-    discipline :attr:`length_thresholds` carries one bound array per
-    alternate hop count instead.
+    path in O(path length).  ``table`` is the route table in force; the
+    :attr:`alt_thresholds` and :attr:`length_thresholds` views read its
+    bound rows.
 
-    The request engine's batch loop works on list snapshots of these
-    arrays and writes them back per batch (:meth:`arrays` /
-    :meth:`absorb`), so the NumPy views are always consistent *between*
-    batches — which is when telemetry and adaptation read them.
+    The request engine's batch loop works on a list snapshot of the
+    occupancy and writes it back per batch (:meth:`absorb`), so the NumPy
+    view is always consistent *between* batches — which is when telemetry
+    and adaptation read it.
     """
 
     def __init__(
@@ -121,9 +138,9 @@ class NetworkState:
         policy: RoutingPolicy,
         adaptation: AdaptationConfig | None = None,
     ):
-        if policy.discipline not in _SUPPORTED_DISCIPLINES:
+        if policy.discipline not in FIRST_FEASIBLE:
             raise ValueError(
-                f"serve supports disciplines {_SUPPORTED_DISCIPLINES}, got "
+                f"serve supports disciplines {FIRST_FEASIBLE}, got "
                 f"{policy.discipline!r} (policy {policy.name!r})"
             )
         if policy.network.num_links != network.num_links:
@@ -132,26 +149,7 @@ class NetworkState:
         self.policy = policy
         self.capacities = network.capacities().astype(np.int64)
         self.occupancy = np.zeros(network.num_links, dtype=np.int64)
-        if policy.discipline == "threshold":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            self.alt_thresholds = np.asarray(
-                policy.alt_thresholds, dtype=np.int64
-            ).copy()
-            self.length_thresholds: dict[int, np.ndarray] | None = None
-        else:
-            tables = getattr(policy, "length_thresholds", None)
-            if tables is None:
-                raise ValueError(f"policy {policy.name!r} lacks length thresholds")
-            self.length_thresholds = {
-                int(length): np.asarray(row, dtype=np.int64).copy()
-                for length, row in tables.items()
-            }
-            # The engine still exposes a flat bound for telemetry; use the
-            # laxest table (longest paths face the tightest thresholds).
-            self.alt_thresholds = self.length_thresholds[
-                min(self.length_thresholds)
-            ].copy()
+        self.table = RouteTable(policy)
         self.adaptation = adaptation
         self.refreshes: list[ThresholdRefresh] = []
         #: Monotone policy version: 0 at construction, bumped by every
@@ -187,6 +185,23 @@ class NetworkState:
         else:
             self.next_refresh = None
 
+    # ------------------------------------------------------------ read views
+
+    @property
+    def alt_thresholds(self) -> np.ndarray:
+        """The flat per-link alternate bound (``C - r``) in force; for the
+        ``length-threshold`` discipline the laxest (shortest-hop) row."""
+        return np.asarray(self.table.flat, dtype=np.int64)
+
+    @property
+    def length_thresholds(self) -> dict[int, np.ndarray] | None:
+        """Per-hop-length bound rows in force, or None for the scalar
+        ``threshold`` discipline."""
+        rows = self.table.length_rows
+        if rows is None:
+            return None
+        return {h: np.asarray(row, dtype=np.int64) for h, row in rows.items()}
+
     # ------------------------------------------------------------- admission
 
     def admit(self, path: tuple[int, ...], width: int = 1) -> None:
@@ -215,19 +230,14 @@ class NetworkState:
         never imports the policy or the network.
         """
         links = tuple(int(link) for link in links)
+        thresholds, tables = shard_bounds(self.table, links)
         return {
             "shard_id": int(shard_id),
             "epoch": int(self.policy_epoch),
             "links": links,
             "capacities": {l: int(self.capacities[l]) for l in links},
-            "thresholds": {l: int(self.alt_thresholds[l]) for l in links},
-            "tables": (
-                None if self.length_thresholds is None
-                else {
-                    int(h): {l: int(row[l]) for l in links}
-                    for h, row in self.length_thresholds.items()
-                }
-            ),
+            "thresholds": thresholds,
+            "tables": tables,
         }
 
     # -------------------------------------------------------------- hot swap
@@ -242,65 +252,19 @@ class NetworkState:
         """Atomically install new alternate-admission thresholds.
 
         Exactly one of ``alt_thresholds`` (scalar ``threshold``
-        discipline) or ``length_thresholds`` (per-hop-length tables,
-        ``length-threshold`` discipline) must be given and must match the
-        discipline this state was built with.  The swap bumps
+        discipline) or ``length_thresholds`` (some or all per-hop-length
+        rows, ``length-threshold`` discipline; rows left out keep their
+        bounds) must be given and must match the discipline this state was
+        built with.  The replacement table is validated and built by
+        :meth:`RouteTable.replaced` and installed whole.  The swap bumps
         :attr:`policy_epoch`, records a :class:`PolicySwap`, and returns
         the max absolute per-link threshold move — in-flight occupancy is
         untouched, so decisions made after the swap see the new bounds
         against the same live circuits.
         """
-        if (alt_thresholds is None) == (length_thresholds is None):
-            raise ValueError(
-                "pass exactly one of alt_thresholds or length_thresholds"
-            )
-        if alt_thresholds is not None:
-            if self.length_thresholds is not None:
-                raise ValueError(
-                    "state uses the length-threshold discipline; swap via "
-                    "length_thresholds"
-                )
-            incoming = np.asarray(alt_thresholds, dtype=np.int64)
-            if incoming.shape != self.alt_thresholds.shape:
-                raise ValueError("alt_thresholds must be per-link")
-            if (incoming < 0).any() or (incoming > self.capacities).any():
-                raise ValueError("thresholds must lie in [0, capacity]")
-            max_delta = float(
-                np.abs(incoming - self.alt_thresholds).max(initial=0)
-            )
-            self.alt_thresholds[:] = incoming
-        else:
-            if self.length_thresholds is None:
-                raise ValueError(
-                    "state uses the scalar threshold discipline; swap via "
-                    "alt_thresholds"
-                )
-            unknown = set(length_thresholds) - set(self.length_thresholds)
-            if unknown:
-                raise ValueError(
-                    f"unknown hop lengths in swap: {sorted(unknown)}"
-                )
-            max_delta = 0.0
-            staged = {}
-            for h, row in length_thresholds.items():
-                incoming = np.asarray(row, dtype=np.int64)
-                if incoming.shape != self.length_thresholds[h].shape:
-                    raise ValueError("length threshold rows must be per-link")
-                if (incoming < 0).any() or (incoming > self.capacities).any():
-                    raise ValueError("thresholds must lie in [0, capacity]")
-                staged[h] = incoming
-                max_delta = max(
-                    max_delta,
-                    float(
-                        np.abs(incoming - self.length_thresholds[h]).max(initial=0)
-                    ),
-                )
-            for h, incoming in staged.items():
-                self.length_thresholds[h][:] = incoming
-            # Keep the flat telemetry mirror on the laxest table.
-            self.alt_thresholds[:] = self.length_thresholds[
-                min(self.length_thresholds)
-            ]
+        self.table, max_delta = self.table.replaced(
+            alt_thresholds=alt_thresholds, length_thresholds=length_thresholds
+        )
         self.policy_epoch += 1
         self.last_refresh_delta = max_delta
         self.swaps.append(
@@ -309,14 +273,6 @@ class NetworkState:
         return max_delta
 
     # ---------------------------------------------------- batch-loop bridge
-
-    def arrays(self) -> tuple[list[int], list[int], dict[int, list[int]] | None]:
-        """List snapshots of (occupancy, thresholds, length tables)."""
-        tables = (
-            None if self.length_thresholds is None
-            else {h: row.tolist() for h, row in self.length_thresholds.items()}
-        )
-        return self.occupancy.tolist(), self.alt_thresholds.tolist(), tables
 
     def absorb(self, occupancy: list[int], setups: list[int] | None = None) -> None:
         """Write one batch's occupancy (and set-up counts) back."""
@@ -327,14 +283,11 @@ class NetworkState:
     # ------------------------------------------------------------ adaptation
 
     def _apply_levels(self, now: float) -> None:
-        capacities = self.capacities
         levels = min_protection_levels(
-            self._estimates, capacities, self.adaptation.max_hops
+            self._estimates, self.capacities, self.adaptation.max_hops
         )
-        previous = self.alt_thresholds.copy()
-        self.alt_thresholds[:] = capacities - levels
-        self.last_refresh_delta = float(
-            np.abs(self.alt_thresholds - previous).max(initial=0)
+        self.table, self.last_refresh_delta = self.table.replaced(
+            alt_thresholds=self.capacities - levels
         )
         self.refreshes.append(
             ThresholdRefresh(
@@ -347,8 +300,8 @@ class NetworkState:
     def maybe_refresh(self, now: float) -> bool:
         """Run every adaptation window boundary at or before ``now``.
 
-        Returns True if any refresh fired (the engine then re-snapshots its
-        threshold lists).  No-op when adaptation is off.
+        Returns True if any refresh fired (the engine then routes on the
+        refreshed table).  No-op when adaptation is off.
         """
         if self.next_refresh is None or now < self.next_refresh:
             return False

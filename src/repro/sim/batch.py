@@ -40,11 +40,12 @@ names the reason.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..routing.base import RoutingPolicy
+from ..routing.table import RouteTable
 from ..topology.graph import Network
 from .metrics import SimulationResult
 from .trace import ArrivalTrace
@@ -82,15 +83,14 @@ def batch_ineligibility(
         return "no traces to simulate"
     if policy.discipline not in BATCH_DISCIPLINES:
         return f"discipline {policy.discipline!r} has no batch kernel"
-    if policy.discipline == "length-threshold":
-        if getattr(policy, "length_thresholds", None) is None:
-            return f"policy {policy.name!r} lacks per-length thresholds"
-    elif policy.alt_thresholds is None:
-        return f"policy {policy.name!r} lacks alternate thresholds"
+    try:
+        table = RouteTable(policy)
+    except ValueError as error:
+        return str(error)
     if policy.discipline in ("dar", "power-of-d"):
         if not hasattr(policy, "route_draws"):
             return f"policy {policy.name!r} lacks a route_draws stream"
-        if any(len(options) > 1 for options in policy.choices.values()):
+        if any(entry[0] == "multi" for entry in table.routes.values()):
             return "random-alternate policies must be single-choice per pair"
         if threshold_schedule:
             return (
@@ -164,10 +164,12 @@ class BatchSimulator:
     # ------------------------------------------------------------- compile
 
     def _compile_policy(self) -> None:
-        """Intern every path once; build the flat entry/threshold tables."""
-        policy = self.policy
+        """Intern every path of the policy's route table once; build the
+        flat entry tables and one per-path bound table per schedule segment.
+        """
+        table = RouteTable(self.policy)
         num_links = self.network.num_links
-        capacities = self.network.capacities().astype(np.int64)
+        capacities = np.asarray(table.capacities, dtype=np.int64)
         od_pairs = self.traces[0].od_pairs
 
         paths: list[tuple[int, ...]] = []
@@ -190,17 +192,15 @@ class BatchSimulator:
         entry_base = np.zeros(len(od_pairs), dtype=np.int64)
         cum_rows: list[np.ndarray | None] = []
         for pair, od in enumerate(od_pairs):
-            options = policy.choices.get(od, ())
+            chains, cum = table.choices(od)
             entry_base[pair] = len(entry_primary)
-            if not options:
+            if not chains:
                 entry_primary.append(infeasible)
                 entry_alts.append(())
-            for choice in options:
-                entry_primary.append(intern(tuple(choice.primary)))
-                entry_alts.append(
-                    tuple(intern(tuple(alt)) for alt in choice.alternates)
-                )
-            cum_rows.append(policy.cum_probs[od] if len(options) > 1 else None)
+            for primary, alternates in chains:
+                entry_primary.append(intern(primary))
+                entry_alts.append(tuple(intern(alt) for alt, __ in alternates))
+            cum_rows.append(np.asarray(cum) if len(chains) > 1 else None)
 
         num_paths = len(paths)
         free, full = num_links, num_links + 1
@@ -229,28 +229,28 @@ class BatchSimulator:
             if alts:
                 entry_alt_pids[entry, : len(alts)] = alts
 
-        # Per-path alternate thresholds, one (paths, width) table per
-        # schedule segment.  Segment 0 is the policy's own thresholds;
-        # each ``threshold_schedule`` entry appends one more.  For the
-        # ``length-threshold`` discipline a path's row comes from the
-        # table keyed by its own hop count (primary-only lengths never
-        # face an alternate test, so they fall back to plain capacity).
-        if policy.discipline == "length-threshold":
-            base_spec: object = {
-                int(h): np.asarray(row, dtype=np.int64)
-                for h, row in policy.length_thresholds.items()
-            }
-        else:
-            base_spec = np.asarray(policy.alt_thresholds, dtype=np.int64)
-        specs = [base_spec]
-        if self.threshold_schedule:
-            specs.extend(spec for __, spec in self.threshold_schedule)
-        path_lengths = np.array([len(p) for p in paths] + [0], dtype=np.int64)
-        stack = np.empty((len(specs), num_paths + 1, alt_width), dtype=np.int32)
-        for si, spec in enumerate(specs):
-            stack[si] = self._segment_thresholds(
-                spec, path_links, path_lengths, capacities
+        # Per-path alternate bounds, one (paths, width) table per schedule
+        # segment.  Segment 0 is the policy's own table; each
+        # ``threshold_schedule`` entry swaps the previous segment's table
+        # exactly as ``NetworkState.hot_swap`` would.  Alternates read the
+        # row their table binds them to; every other path (primary-only,
+        # infeasible, the blocked-call row) keeps plain capacity.
+        alternate_pids: dict[int, list[int]] = {}
+        for pid in sorted({pid for alts in entry_alts for pid in alts}):
+            alternate_pids.setdefault(table.key_of(paths[pid]), []).append(pid)
+        segments = [table]
+        for __, spec in self.threshold_schedule or ():
+            form = (
+                "length_thresholds" if isinstance(spec, Mapping)
+                else "alt_thresholds"
             )
+            segments.append(segments[-1].replaced(**{form: spec})[0])
+        stack = np.empty((len(segments), num_paths + 1, alt_width), dtype=np.int32)
+        for si, segment in enumerate(segments):
+            stack[si] = cap_row[path_links]
+            for key, pids in alternate_pids.items():
+                bounds = np.concatenate([segment.rows[key], [int(_HUGE), 0]])
+                stack[si, pids] = bounds.astype(np.int32)[path_links[pids]]
         self._free_link = free
         self._path_links = path_links
         self._path_thr = stack
@@ -269,41 +269,6 @@ class BatchSimulator:
             if self.threshold_schedule
             else None
         )
-
-    def _segment_thresholds(
-        self,
-        spec,
-        path_links: np.ndarray,
-        path_lengths: np.ndarray,
-        capacities: np.ndarray,
-    ) -> np.ndarray:
-        """One (paths+1, width) per-path threshold table for ``spec``.
-
-        ``spec`` is either a flat per-link vector or, for the
-        ``length-threshold`` discipline, a ``{hop_length: per-link}``
-        mapping; hop lengths absent from the mapping fall back to plain
-        capacity (only primary-only lengths, which never face the
-        alternate test).  Sentinel columns keep their FREE/FULL meaning.
-        """
-        num_links = capacities.size
-
-        def row_of(vec) -> np.ndarray:
-            flat = np.asarray(vec, dtype=np.int64)
-            if flat.shape != (num_links,):
-                raise ValueError(
-                    f"threshold vectors must have shape ({num_links},), "
-                    f"got {flat.shape}"
-                )
-            return np.concatenate([flat, [int(_HUGE), 0]]).astype(np.int32)
-
-        if isinstance(spec, dict):
-            out = row_of(capacities)[path_links]
-            for length, vec in spec.items():
-                mask = path_lengths == int(length)
-                if mask.any():
-                    out[mask] = row_of(vec)[path_links[mask]]
-            return out
-        return row_of(spec)[path_links]
 
     # ---------------------------------------------------------------- pack
 

@@ -59,8 +59,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .._compat import positional_shim
-from ..routing.base import RouteChoice, RoutingPolicy
+from ..routing.base import RoutingPolicy
+from ..routing.table import RouteTable, pick
 from ..topology.graph import Network
 from .engine import EventQueue
 from .faultplane import FaultEvent, FaultTimeline
@@ -72,14 +72,13 @@ from .trace import ArrivalTrace
 __all__ = ["SignalingConfig", "SignalingStats", "SignalingSimulator", "simulate_signaling"]
 
 
-@positional_shim
 @dataclass(frozen=True, kw_only=True)
 class SignalingConfig:
     """Timing and reliability model for the signaling plane.
 
-    Keyword-only: construct as ``SignalingConfig(propagation_delay=...)``.
-    Positional construction still works but is deprecated (the field list
-    grows; positional call sites would silently change meaning).
+    Keyword-only: construct as ``SignalingConfig(propagation_delay=...)``
+    (the field list grows; positional call sites would silently change
+    meaning).
 
     ``propagation_delay`` is the one-way per-hop delay for any signaling
     message, in call-holding-time units (the paper's unit of time).  A
@@ -189,8 +188,10 @@ class _PendingCall:
     pair_index: int
     arrival_time: float
     holding_time: float
-    choice: RouteChoice
-    next_route: int = 0  # 0 = primary, k >= 1 = alternates[k - 1]
+    # (links, bounds) per route: the primary checked against capacity, then
+    # the route table's alternates, each against its own bound row.
+    attempts: tuple
+    next_route: int = 0  # index into attempts; 0 = primary
     measured: bool = False
     serial: int = 0  # attempt generation; stale messages/timers check it
     retries: int = 0  # timeout retries consumed on the current route
@@ -200,12 +201,13 @@ class _PendingCall:
     bookings: dict[int, list[int]] = field(default_factory=dict)
 
     def route(self) -> tuple[int, ...] | None:
-        if self.next_route == 0:
-            return self.choice.primary
-        index = self.next_route - 1
-        if index < len(self.choice.alternates):
-            return self.choice.alternates[index]
+        if self.next_route < len(self.attempts):
+            return self.attempts[self.next_route][0]
         return None
+
+    def bound(self, link: int) -> int:
+        """The current attempt's admission bound on ``link``."""
+        return self.attempts[self.next_route][1][link]
 
     @property
     def is_primary_attempt(self) -> bool:
@@ -216,7 +218,8 @@ class SignalingSimulator:
     """Distributed set-up/confirm/teardown signaling over a threshold policy.
 
     Consumes the same :class:`ArrivalTrace` and threshold-discipline
-    :class:`RoutingPolicy` as the flow simulator, so results are directly
+    :class:`RoutingPolicy` as the flow simulator, and routes on the same
+    :class:`~repro.routing.table.RouteTable`, so results are directly
     comparable under common random numbers.  ``faults`` replays a
     :class:`~repro.sim.faultplane.FaultTimeline` mid-run (stale policy — no
     reconvergence — matching the flow simulator without ``rebuild_policy``).
@@ -233,14 +236,13 @@ class SignalingSimulator:
     ):
         if policy.discipline != "threshold":
             raise ValueError("signaling simulation supports threshold policies only")
-        if policy.alt_thresholds is None:
-            raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
         if warmup < 0 or warmup >= trace.duration:
             raise ValueError("warmup must lie in [0, duration)")
         if trace.is_multiclass:
             raise ValueError("signaling simulation supports unit-bandwidth traces only")
         self.network = network
         self.policy = policy
+        self.table = RouteTable(policy)
         self.trace = trace
         self.warmup = float(warmup)
         self.config = config
@@ -264,8 +266,11 @@ class SignalingSimulator:
         config = self.config
         raw_capacities = [int(link.capacity) for link in network.links]
         capacities = [int(c) for c in network.capacities()]
-        base_thresholds = [int(t) for t in self.policy.alt_thresholds]
-        thresholds = list(base_thresholds)
+        # Per-run bound rows: the fault plane zeroes a down link's entry in
+        # each and restores it from the pristine copy on repair.
+        table, rows = self.table.writable()
+        pristine = [list(row) for row in rows]
+        single, split = table.by_pair(trace.od_pairs)
         occupancy = [0] * network.num_links
         delay = config.propagation_delay
         loss_p = config.message_loss_probability
@@ -286,15 +291,11 @@ class SignalingSimulator:
         warmup = self.warmup
 
         queue = EventQueue()
-        policy = self.policy
 
         # Established-call registry, for teardown and fault-induced drops.
         active_calls: dict[int, tuple[tuple[int, ...], int, bool]] = {}
         next_active_id = 0
         link_down = [network.is_failed(i) for i in range(network.num_links)]
-
-        def limit_for(call: _PendingCall, link: int) -> int:
-            return capacities[link] if call.is_primary_attempt else thresholds[link]
 
         def transmit(q: EventQueue, callback, payload, hops: int = 1) -> bool:
             """Schedule a protocol message ``hops`` propagation hops away.
@@ -383,7 +384,7 @@ class SignalingSimulator:
                 advance_confirm(q, (call, route, len(route) - 1, serial))
                 return
             link = route[hop]
-            if occupancy[link] + 1 > limit_for(call, link):
+            if occupancy[link] + 1 > call.bound(link):
                 # Crankback: the failure notice needs hop+1 hops home; the
                 # origin moves on when it hears, after the round trip.
                 if call.measured:
@@ -425,7 +426,7 @@ class SignalingSimulator:
                 q.schedule_in(call.holding_time, start_teardown, call_id)
                 return
             link = route[hop]
-            if occupancy[link] + 1 > limit_for(call, link):
+            if occupancy[link] + 1 > call.bound(link):
                 # The circuit vanished between check and booking: race abort.
                 if call.measured:
                     stats.race_aborts += 1
@@ -488,10 +489,12 @@ class SignalingSimulator:
                 link_down[link] = not up
                 if up:
                     capacities[link] = raw_capacities[link]
-                    thresholds[link] = base_thresholds[link]
+                    for row, clean in zip(rows, pristine):
+                        row[link] = clean[link]
                 else:
                     capacities[link] = 0
-                    thresholds[link] = 0
+                    for row in rows:
+                        row[link] = 0
                     newly_down.append(link)
             if not newly_down:
                 return
@@ -511,22 +514,18 @@ class SignalingSimulator:
             measured = q.now >= warmup
             if measured:
                 offered[pair] += 1
-            od = trace.od_pairs[pair]
-            options = policy.choices.get(od, ())
-            if not options:
+            chain = single[pair]
+            if chain is None and split[pair] is not None:
+                chain = pick(split[pair], uniform)
+            if chain is None:
                 if measured:
                     blocked[pair] += 1
                 return
-            choice = (
-                options[0]
-                if len(options) == 1
-                else policy.select_choice(od, uniform)
-            )
             call = _PendingCall(
                 pair_index=pair,
                 arrival_time=q.now,
                 holding_time=holding,
-                choice=choice,
+                attempts=((chain[0], capacities),) + chain[1],
                 measured=measured,
             )
             start_attempt(q, call)

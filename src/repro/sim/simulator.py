@@ -28,14 +28,14 @@ Two loops implement the semantics.  The *general* loop handles every
 feature (faults, binned timelines, multi-class traces, bandwidths, link
 statistics, all disciplines) and doubles as the reference implementation.
 The *fast* loop specializes the common benchmark/replication shape —
-threshold discipline, unit bandwidth, no faults, no timeline — with
-per-pair route entries precompiled to bare ``(primary, alternates)`` tuple
-pairs, admission inlined into the call loop, and the trace consumed through
-a single ``zip``.  Both loops execute the identical admission decisions in
-the identical order, so every counter in the result (blocking, carried
-splits, drops) is bit-identical for a fixed seed; ``run(reference=True)``
-forces the general loop (the equivalence tests and perf benchmarks compare
-the two).
+either threshold form, unit bandwidth, no faults, no timeline — with
+admission inlined into the call loop and the trace consumed through a
+single ``zip``.  Both loops read their per-pair chains from the policy's
+:class:`~repro.routing.table.RouteTable` and execute the identical admission
+decisions in the identical order, so every counter in the result
+(blocking, carried splits, drops) is bit-identical for a fixed seed;
+``run(backend="reference")`` forces the general loop (the equivalence tests
+and perf benchmarks compare the two).
 
 Dynamic faults (beyond the paper's static Section-4.2.2 scenarios): a
 :class:`~repro.sim.faultplane.FaultTimeline` makes links fail and recover
@@ -59,6 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..routing.base import RoutingPolicy
+from ..routing.table import FIRST_FEASIBLE, RouteTable, pick
 from ..topology.graph import Network
 from .faultplane import FaultEvent, FaultStats, FaultTimeline
 from .metrics import BinnedSeries, SimulationResult
@@ -151,9 +152,7 @@ class LossNetworkSimulator:
         else:
             self.initial_occupancy = None
 
-    def run(
-        self, reference: bool = False, backend: str | None = None
-    ) -> SimulationResult:
+    def run(self, backend: str = "auto") -> SimulationResult:
         """Run the simulation under the requested ``backend``.
 
         ``backend="auto"`` (the default) picks the fastest engine whose
@@ -163,12 +162,7 @@ class LossNetworkSimulator:
         identical admission decisions in the identical order, so the returned
         statistics are bit-identical regardless of backend — ineligible
         requests silently fall back down the chain (batch → fast → general).
-        The ``reference`` boolean is the internal pre-``backend`` spelling
-        (``True`` ≡ ``backend="reference"``); the deprecation shim for it
-        lives in :func:`repro.sim.simulator.simulate`.
         """
-        if backend is None:
-            backend = "reference" if reference else "auto"
         if backend == "reference":
             return self._run_general()
         if backend == "batch" and self._batch_eligible():
@@ -189,7 +183,7 @@ class LossNetworkSimulator:
             and not self.collect_link_stats
             and trace.bandwidths is None
             and trace.class_index is None
-            and self.policy.discipline == "threshold"
+            and self.policy.discipline in FIRST_FEASIBLE
         )
 
     def _batch_eligible(self) -> bool:
@@ -252,31 +246,7 @@ class LossNetworkSimulator:
         primary_carried = 0
         alternate_carried = 0
 
-        policy = self.policy
-        if policy.alt_thresholds is None:
-            raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-        thresholds = [int(t) for t in policy.alt_thresholds]
-        # Per-pair precompiled entries: deterministic pairs carry a bare
-        # (primary, alternates) tuple; bifurcated pairs carry the candidate
-        # entries plus the cumulative probabilities consulted per call.
-        single_entry: list[tuple | None] = []
-        multi: list[tuple | None] = []
-        for od in trace.od_pairs:
-            options = policy.choices.get(od, ())
-            if len(options) == 1:
-                single_entry.append((options[0].primary, options[0].alternates))
-                multi.append(None)
-            elif len(options) == 0:
-                single_entry.append(None)
-                multi.append(None)
-            else:
-                single_entry.append(None)
-                multi.append(
-                    (
-                        [(c.primary, c.alternates) for c in options],
-                        policy.cum_probs[od].tolist(),
-                    )
-                )
+        single_entry, multi = RouteTable(self.policy).by_pair(trace.od_pairs)
         has_multi = any(entry is not None for entry in multi)
 
         warm_count = int(np.searchsorted(trace.times, warmup, side="left"))
@@ -322,11 +292,7 @@ class LossNetworkSimulator:
                             blocked[pair] += 1
                         call_i += 1
                         continue
-                    route_options, cum = options
-                    pick = 0
-                    while pick < len(cum) - 1 and u >= cum[pick]:
-                        pick += 1
-                    entry = route_options[pick]
+                    entry = pick(options, u)
                 primary, alternates = entry
                 for link in primary:
                     if occupancy[link] >= capacities[link]:
@@ -340,9 +306,9 @@ class LossNetworkSimulator:
                         primary_carried += 1
                     continue
                 path = None
-                for alt in alternates:
+                for alt, bounds in alternates:
                     for link in alt:
-                        if occupancy[link] >= thresholds[link]:
+                        if occupancy[link] >= bounds[link]:
                             break
                     else:
                         path = alt
@@ -579,8 +545,8 @@ class LossNetworkSimulator:
                     class_offered[class_index[call]] += 1
                 if bin_width is not None:
                     bin_offered[min(num_bins - 1, int(now / bin_width))] += 1
-            choice = single_choice[pair]
-            if choice is None:
+            chain = single_choice[pair]
+            if chain is None:
                 options = multi[pair]
                 if options is None:
                     # Disconnected pair: the call is necessarily lost.
@@ -591,13 +557,8 @@ class LossNetworkSimulator:
                         if bin_width is not None:
                             bin_blocked[min(num_bins - 1, int(now / bin_width))] += 1
                     continue
-                route_options, cum = options
-                u = uniforms[call]
-                pick = 0
-                while pick < len(cum) - 1 and u >= cum[pick]:
-                    pick += 1
-                choice = route_options[pick]
-            path, used_alternate = run_call(choice, width, pair, call)
+                chain = pick(options, uniforms[call])
+            path, used_alternate = run_call(chain, width, pair, call)
             if path is None:
                 if measured:
                     blocked[pair] += 1
@@ -661,153 +622,66 @@ class LossNetworkSimulator:
     # ----------------------------------------------------- policy compilation
 
     def _compile(self, policy: RoutingPolicy, capacities, occupancy):
-        """Compile one policy into the per-call lookup tables and closure.
+        """Compile one policy into the per-call lookups and admission closure.
 
         Returns ``(single_choice, multi, run_call, threshold_lists,
-        pristine_thresholds)``.  ``run_call(choice, width, pair, call)`` is
-        the admission closure — ``pair``/``call`` are the O-D index and the
-        absolute call number, used only by the stateful random-alternate
-        disciplines (the others ignore them).  ``threshold_lists`` are the
-        mutable per-link
-        threshold lists captured by the admission closure (empty for the
-        shadow discipline) and ``pristine_thresholds`` their untouched
-        copies; the fault plane zeroes entries of down links and restores
-        them from the pristine copy on repair.  Called again after each
-        reconvergence, so everything policy-derived is rebuilt here.
+        pristine_thresholds)``: the route table's pair-indexed chains (see
+        :meth:`~repro.routing.table.RouteTable.by_pair`), the admission
+        closure ``run_call(chain, width, pair, call)`` — ``pair``/``call``
+        are the O-D index and the absolute call number, read only by the
+        stateful random-alternate selectors — and the per-run bound rows
+        the chains test against, with their untouched copies; the fault
+        plane zeroes entries of down links and restores them from the
+        pristine copy on repair.  Called again after each reconvergence, so
+        everything policy-derived is rebuilt here.
         """
-        # Per-O-D fast lookup.  Most pairs have a single deterministic route
-        # choice; the bifurcated case consults the per-call uniform variate.
-        single_choice = []
-        multi = []
-        for od in self.trace.od_pairs:
-            options = policy.choices.get(od, ())
-            if len(options) == 1:
-                single_choice.append(options[0])
-                multi.append(None)
-            elif len(options) == 0:
-                single_choice.append(None)
-                multi.append(None)
-            else:
-                single_choice.append(None)
-                multi.append((options, policy.cum_probs[od].tolist()))
-
-        if policy.discipline == "threshold":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            thresholds = [int(t) for t in policy.alt_thresholds]
-            run_call = self._make_threshold_step(capacities, thresholds, occupancy)
-            threshold_lists = [thresholds]
-        elif policy.discipline == "dar":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            thresholds = [int(t) for t in policy.alt_thresholds]
-            run_call = self._make_dar_step(policy, capacities, thresholds, occupancy)
-            threshold_lists = [thresholds]
-        elif policy.discipline == "power-of-d":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            thresholds = [int(t) for t in policy.alt_thresholds]
-            run_call = self._make_power_of_d_step(
-                policy, capacities, thresholds, occupancy
-            )
-            threshold_lists = [thresholds]
-        elif policy.discipline == "length-threshold":
-            tables = getattr(policy, "length_thresholds", None)
-            if tables is None:
-                raise ValueError(f"policy {policy.name!r} lacks length thresholds")
-            tables = {length: list(row) for length, row in tables.items()}
-            run_call = self._make_length_threshold_step(capacities, tables, occupancy)
-            threshold_lists = [tables[length] for length in sorted(tables)]
-        elif policy.discipline == "least-busy":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            thresholds = [int(t) for t in policy.alt_thresholds]
-            run_call = self._make_least_busy_step(capacities, thresholds, occupancy)
-            threshold_lists = [thresholds]
-        elif policy.discipline == "shadow":
-            if policy.price_tables is None:
-                raise ValueError(f"policy {policy.name!r} lacks price tables")
-            run_call = self._make_shadow_step(policy, capacities, occupancy)
-            threshold_lists = []
-        else:
+        make_step = _ADMISSION.get(policy.discipline)
+        if make_step is None:
             raise ValueError(f"unknown routing discipline {policy.discipline!r}")
-        pristine = [list(lst) for lst in threshold_lists]
-        return single_choice, multi, run_call, threshold_lists, pristine
+        table, rows = RouteTable(policy).writable()
+        single_choice, multi = table.by_pair(self.trace.od_pairs)
+        run_call = make_step(self, policy, capacities, occupancy)
+        return single_choice, multi, run_call, rows, [list(row) for row in rows]
 
     # ------------------------------------------------------------- admission
+    #
+    # Every discipline but shadow admits the primary first (see
+    # :func:`_primary_first`) and differs only in its alternate selector
+    # ``select(alternates, width, pair, call)``, which returns the chosen
+    # alternate or None.  ``alternates`` are the chain's ``(links, bounds)``
+    # pairs, each tested against its own bound row, so one selector serves
+    # both threshold forms.
 
-    def _make_threshold_step(self, capacities, thresholds, occupancy):
-        """Build the per-call admission closure for threshold policies.
+    def _first_feasible(self, policy, capacities, occupancy):
+        """The paper's rule: the first alternate within its bounds."""
 
-        A primary call of bandwidth ``width`` fits iff every link has
-        ``width`` free units; an alternate call additionally may not push
-        any link past its protection threshold.
-        """
-
-        def step(choice, width, pair, call):
-            for link in choice.primary:
-                if occupancy[link] + width > capacities[link]:
-                    break
-            else:
-                return choice.primary, False
-            for alt in choice.alternates:
+        def select(alternates, width, pair, call):
+            for alt, bounds in alternates:
                 for link in alt:
-                    if occupancy[link] + width > thresholds[link]:
+                    if occupancy[link] + width > bounds[link]:
                         break
                 else:
-                    return alt, True
-            return None, False
+                    return alt
+            return None
 
-        return step
+        return _primary_first(select, capacities, occupancy)
 
-    def _make_length_threshold_step(self, capacities, tables, occupancy):
-        """Admission closure for hop-length-aware protection.
+    def _least_busy(self, policy, capacities, occupancy):
+        """Least-busy alternate: the largest bottleneck headroom wins.
 
-        ``tables[h]`` is the per-link threshold list applied to alternate
-        paths of exactly ``h`` hops — shorter alternates face laxer
-        thresholds since they displace fewer primaries (the Section-3.2
-        refinement).  Primary admission is unchanged.
+        Among the alternates whose every link admits the call within its
+        bound, pick the one with the largest minimum of
+        ``bound - occupancy - width``; the candidate order (shortest first)
+        breaks ties, matching LBA's preference for short alternates.
         """
 
-        def step(choice, width, pair, call):
-            for link in choice.primary:
-                if occupancy[link] + width > capacities[link]:
-                    break
-            else:
-                return choice.primary, False
-            for alt in choice.alternates:
-                thresholds = tables[len(alt)]
-                for link in alt:
-                    if occupancy[link] + width > thresholds[link]:
-                        break
-                else:
-                    return alt, True
-            return None, False
-
-        return step
-
-    def _make_least_busy_step(self, capacities, thresholds, occupancy):
-        """Admission closure for least-busy alternate selection.
-
-        Among the alternates whose every link admits the call under its
-        threshold, pick the one with the largest bottleneck headroom
-        (minimum of ``threshold - occupancy - width`` over its links); the
-        candidate order (shortest first) breaks ties, matching LBA's
-        preference for short alternates.
-        """
-
-        def step(choice, width, pair, call):
-            for link in choice.primary:
-                if occupancy[link] + width > capacities[link]:
-                    break
-            else:
-                return choice.primary, False
+        def select(alternates, width, pair, call):
             best_path = None
             best_headroom = -1
-            for alt in choice.alternates:
+            for alt, bounds in alternates:
                 headroom = None
                 for link in alt:
-                    free = thresholds[link] - occupancy[link] - width
+                    free = bounds[link] - occupancy[link] - width
                     if free < 0:
                         headroom = None
                         break
@@ -816,14 +690,12 @@ class LossNetworkSimulator:
                 if headroom is not None and headroom > best_headroom:
                     best_headroom = headroom
                     best_path = alt
-            if best_path is not None:
-                return best_path, True
-            return None, False
+            return best_path
 
-        return step
+        return _primary_first(select, capacities, occupancy)
 
-    def _make_dar_step(self, policy, capacities, thresholds, occupancy):
-        """Admission closure for DAR (sticky random alternate) selection.
+    def _dar(self, policy, capacities, occupancy):
+        """DAR: one sticky random alternate per pair, resampled on failure.
 
         Each pair remembers one sticky alternate index (initially the
         shortest alternate).  A primary-blocked call tries only the sticky
@@ -837,76 +709,65 @@ class LossNetworkSimulator:
         draws = policy.route_draws(self.trace)
         sticky = [0] * len(self.trace.od_pairs)
 
-        def step(choice, width, pair, call):
-            for link in choice.primary:
-                if occupancy[link] + width > capacities[link]:
-                    break
-            else:
-                return choice.primary, False
-            alts = choice.alternates
-            n_alts = len(alts)
+        def select(alternates, width, pair, call):
+            n_alts = len(alternates)
             if n_alts == 0:
-                return None, False
-            alt = alts[sticky[pair]]
+                return None
+            alt, bounds = alternates[sticky[pair]]
             for link in alt:
-                if occupancy[link] + width > thresholds[link]:
+                if occupancy[link] + width > bounds[link]:
                     sticky[pair] = int(draws[call] * n_alts)
-                    return None, False
-            return alt, True
+                    return None
+            return alt
 
-        return step
+        return _primary_first(select, capacities, occupancy)
 
-    def _make_power_of_d_step(self, policy, capacities, thresholds, occupancy):
-        """Admission closure for power-of-d random alternate selection.
+    def _power_of_d(self, policy, capacities, occupancy):
+        """Power-of-d: the best of ``d`` randomly drawn alternates.
 
         A primary-blocked call samples ``d`` alternates (with replacement)
         from its positional draw row and takes the first one attaining the
-        best bottleneck score ``min(threshold - occupancy)``; it is admitted
+        best bottleneck score ``min(bound - occupancy)``; it is admitted
         iff that score covers the call's width.  Evaluating the score for
         infeasible candidates too keeps the selection identical to the batch
         kernel's argmax formulation.
         """
         draws = policy.route_draws(self.trace)
 
-        def step(choice, width, pair, call):
-            for link in choice.primary:
-                if occupancy[link] + width > capacities[link]:
-                    break
-            else:
-                return choice.primary, False
-            alts = choice.alternates
-            n_alts = len(alts)
+        def select(alternates, width, pair, call):
+            n_alts = len(alternates)
             if n_alts == 0:
-                return None, False
+                return None
             best_alt = None
             best_score = None
             for u in draws[call]:
-                alt = alts[int(u * n_alts)]
-                score = min(thresholds[link] - occupancy[link] for link in alt)
+                alt, bounds = alternates[int(u * n_alts)]
+                score = min(bounds[link] - occupancy[link] for link in alt)
                 if best_score is None or score > best_score:
                     best_score = score
                     best_alt = alt
-            if best_score >= width:
-                return best_alt, True
-            return None, False
+            return best_alt if best_score >= width else None
 
-        return step
+        return _primary_first(select, capacities, occupancy)
 
-    def _make_shadow_step(self, policy, capacities, occupancy):
-        """Build the per-call admission closure for shadow-price policies.
+    def _shadow(self, policy, capacities, occupancy):
+        """Shadow prices: the cheapest candidate path within the revenue.
 
         Prices are per unit of bandwidth: a ``width``-unit call at link
         occupancy ``s`` is charged the sum of the unit prices at states
         ``s, s+1, ..., s+width-1`` (the unit-decomposition view).
         """
         tables = policy.price_tables
+        if tables is None:
+            raise ValueError(f"policy {policy.name!r} lacks price tables")
         revenue = getattr(policy, "revenue", 1.0) + _REVENUE_EPS
 
-        def step(choice, width, pair, call):
+        def step(chain, width, pair, call):
+            primary, alternates = chain
             best_path = None
             best_price = revenue
             best_is_alternate = False
-            candidates = (choice.primary,) + choice.alternates
+            candidates = (primary,) + tuple(alt for alt, __ in alternates)
             for position, path in enumerate(candidates):
                 price = 0.0
                 feasible = True
@@ -930,6 +791,34 @@ class LossNetworkSimulator:
         return step
 
 
+#: Admission-closure builder per routing discipline.
+_ADMISSION = {
+    "threshold": LossNetworkSimulator._first_feasible,
+    "length-threshold": LossNetworkSimulator._first_feasible,
+    "least-busy": LossNetworkSimulator._least_busy,
+    "dar": LossNetworkSimulator._dar,
+    "power-of-d": LossNetworkSimulator._power_of_d,
+    "shadow": LossNetworkSimulator._shadow,
+}
+
+
+def _primary_first(select, capacities, occupancy):
+    """Admission closure: the primary if every link has ``width`` free
+    units, else whatever alternate ``select`` picks."""
+
+    def step(chain, width, pair, call):
+        primary, alternates = chain
+        for link in primary:
+            if occupancy[link] + width > capacities[link]:
+                break
+        else:
+            return primary, False
+        alt = select(alternates, width, pair, call)
+        return (alt, True) if alt is not None else (None, False)
+
+    return step
+
+
 def simulate(
     network: Network,
     policy: RoutingPolicy,
@@ -941,8 +830,7 @@ def simulate(
     reconvergence_delay: float = 0.0,
     rebuild_policy: Callable[[Network], RoutingPolicy] | None = None,
     timeline_bin: float | None = None,
-    reference: bool | None = None,
-    backend: str | None = None,
+    backend: str = "auto",
 ) -> SimulationResult:
     """Convenience wrapper: build and run a :class:`LossNetworkSimulator`.
 
@@ -950,13 +838,11 @@ def simulate(
     starts and the dynamic fault plane are all reachable without touching
     the class directly.  ``backend`` selects the engine (``"auto"`` /
     ``"batch"`` / ``"fast"`` / ``"reference"``, see
-    :meth:`LossNetworkSimulator.run`); the legacy ``reference=True`` flag
-    still maps to ``backend="reference"`` through the
-    :func:`repro._compat.resolve_backend` deprecation shim.
+    :meth:`LossNetworkSimulator.run`).
     """
     from .._compat import resolve_backend
 
-    resolved = resolve_backend(backend, reference, owner="simulate")
+    resolved = resolve_backend(backend)
     return LossNetworkSimulator(
         network,
         policy,

@@ -125,18 +125,6 @@ class TestRunStudy:
 
 
 class TestKeywordOnlyConfigs:
-    def test_replication_config_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            config = ReplicationConfig(25.0, 5.0, (0, 1))
-        assert config.measured_duration == 25.0
-        assert config.warmup == 5.0
-        assert config.seeds == (0, 1)
-
-    def test_signaling_config_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            config = SignalingConfig(0.01)
-        assert config.propagation_delay == 0.01
-
     def test_keyword_construction_stays_silent(self):
         import warnings
 
@@ -146,8 +134,9 @@ class TestKeywordOnlyConfigs:
             SignalingConfig(propagation_delay=0.01)
 
     def test_positional_overflow_and_duplicates_raise(self):
-        with pytest.raises(TypeError, match="at most"):
+        with pytest.raises(TypeError, match="positional"):
             ReplicationConfig(1.0, 2.0, (0,), "extra")
-        with pytest.raises(TypeError, match="multiple values"):
-            with pytest.warns(DeprecationWarning):
-                ReplicationConfig(1.0, measured_duration=2.0)
+        with pytest.raises(TypeError, match="positional"):
+            ReplicationConfig(1.0, measured_duration=2.0)
+        with pytest.raises(TypeError, match="positional"):
+            SignalingConfig(0.01)
