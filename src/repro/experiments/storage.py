@@ -6,16 +6,14 @@ JSON — one document per sweep — with enough metadata (schema version,
 config, provenance) to refuse incompatible files instead of misreading
 them.
 
-Documents are now ``repro-sweep-v2``: they carry a provenance block (the
+Documents are ``repro-sweep-v2``: they carry a provenance block (the
 package version that produced them plus the canonical hash of the
 replication config, via :mod:`repro.lab.hashing`) so :func:`load_sweep` can
 *warn* when a file was produced by a different code version or under a
 different config than its embedded one claims — a drifted sweep loads, but
-never silently.  Legacy ``v1`` files pass through the lab store's migration
-shim (:func:`repro.lab.store.migrate_sweep_document`) and load without a
-provenance check.  Per-replication caching has moved to the lab's
-content-addressed store; these flat documents remain the exchange format
-for aggregated sweeps.
+never silently.  Any other schema is refused.  Per-replication caching
+has moved to the lab's content-addressed store; these flat documents
+remain the exchange format for aggregated sweeps.
 """
 
 from __future__ import annotations
@@ -128,7 +126,7 @@ def _check_provenance(document: dict, path: str | Path) -> None:
     from ..lab.store import repro_version
 
     provenance = document.get("provenance")
-    if not provenance:  # migrated v1 file: nothing recorded, nothing to check
+    if not provenance:  # nothing recorded, nothing to check
         return
     recorded = provenance.get("repro_version")
     current = repro_version()
@@ -159,16 +157,19 @@ def _check_provenance(document: dict, path: str | Path) -> None:
 
 
 def load_sweep(path: str | Path) -> tuple[list[SweepPoint], ReplicationConfig | None, str]:
-    """Read a sweep written by :func:`save_sweep` (v2, or legacy v1).
+    """Read a sweep written by :func:`save_sweep`.
 
     Returns ``(points, config, title)``; the config is ``None`` when the
     file was saved without one.  Raises ``ValueError`` on schema mismatch;
     emits :class:`ProvenanceWarning` when the file records a different
     package version or a config hash that no longer matches its content.
     """
-    from ..lab.store import migrate_sweep_document
-
-    document = migrate_sweep_document(json.loads(Path(path).read_text()))
+    document = json.loads(Path(path).read_text())
+    schema = document.get("schema")
+    if schema != _SCHEMA:
+        raise ValueError(
+            f"unrecognized sweep file schema {schema!r}; expected {_SCHEMA!r}"
+        )
     _check_provenance(document, path)
     points = []
     for entry in document["points"]:

@@ -38,7 +38,6 @@ from .hashing import (
 from .store import (
     RESULT_SCHEMA_VERSION,
     ResultStore,
-    migrate_sweep_document,
     result_from_document,
     result_to_document,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ResultStore",
     "result_to_document",
     "result_from_document",
-    "migrate_sweep_document",
     # lazy (see __getattr__): scheduler exports
     "JobSpec",
     "LabRunReport",

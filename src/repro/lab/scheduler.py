@@ -373,7 +373,8 @@ def _run_group_serial(run, scenario, scenario_sig, config_sig, config,
 
 
 def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
-                        policy_name, group, max_workers, max_seed_retries):
+                        policy_name, group, max_workers, max_seed_retries,
+                        backend="auto"):
     """Fan one policy's pending seeds over the shared-context process pool."""
     policy_obj = scenario.build_policy(policy_name)
     attempts: dict[str, int] = {job.key: 0 for job in group}
@@ -384,7 +385,7 @@ def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
         initializer=_install_worker_context,
         initargs=(scenario.network, policy_obj, scenario.traffic_matrix,
                   config.duration, config.warmup,
-                  scenario.resolved_workload(config.duration)),
+                  scenario.resolved_workload(config.duration), backend),
     ) as pool:
         inflight = {}
         workers = max_workers or (os.cpu_count() or 1)
@@ -412,7 +413,8 @@ def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
                         )
                 else:
                     run.store.put_result(
-                        job.key, result, _provenance(scenario_sig, config_sig, job)
+                        job.key, result,
+                        _provenance(scenario_sig, config_sig, job, backend=backend),
                     )
                     run.record_finished(job, elapsed)
             if not run.budget_left:
@@ -464,6 +466,7 @@ def run_lab_study(
     from .._compat import resolve_backend
 
     backend = resolve_backend(backend)
+    per_seed = backend if backend in ("fast", "reference") else "auto"
     lab = lab if lab is not None else LabConfig()
     store = ResultStore(lab.store_path)
     names = (scenario.policy,) if policies is None else tuple(policies)
@@ -510,7 +513,7 @@ def run_lab_study(
             if parallel:
                 ok = _run_group_parallel(
                     run, scenario, scenario_sig, config_sig, config,
-                    name, group, max_workers, max_seed_retries,
+                    name, group, max_workers, max_seed_retries, backend=per_seed,
                 )
             else:
                 ok = None
@@ -520,7 +523,6 @@ def run_lab_study(
                         name, group,
                     )
                 if ok is None:
-                    per_seed = backend if backend in ("fast", "reference") else "auto"
                     ok = _run_group_serial(
                         run, scenario, scenario_sig, config_sig, config,
                         name, group, max_seed_retries, backend=per_seed,
@@ -568,9 +570,7 @@ def run_lab_study(
             results.append(result)
         stat = aggregate([result.network_blocking for result in results])
         group_backend = (
-            "batch"
-            if any(s.backend == "batch" for s in statuses)
-            else backend if backend in ("fast", "reference") else "auto"
+            "batch" if any(s.backend == "batch" for s in statuses) else per_seed
         )
         outcomes[name] = ReplicationOutcome(
             stat, results, statuses, backend=group_backend

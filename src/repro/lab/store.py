@@ -16,10 +16,6 @@ references.
 Serialization is exact: integer counter arrays round-trip with their dtype,
 floats round-trip through JSON's shortest-repr form, so a cached result is
 bit-identical to the freshly simulated one (the lab's core guarantee).
-
-This store supersedes the flat v1 sweep documents of
-:mod:`repro.experiments.storage`; the v1→v2 migration shim those documents
-pass through on load lives here (:func:`migrate_sweep_document`).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ __all__ = [
     "ResultStore",
     "result_to_document",
     "result_from_document",
-    "migrate_sweep_document",
 ]
 
 #: Version of the simulated-result semantics baked into job keys.  Bump it
@@ -222,25 +217,3 @@ class ResultStore:
                 if bucket.is_dir() and not any(bucket.iterdir()):
                     bucket.rmdir()
         return {"removed": removed, "kept": len(self.keys())}
-
-
-def migrate_sweep_document(document: dict) -> dict:
-    """Upgrade a v1 sweep document to the v2 (provenance-carrying) form.
-
-    v1 files predate provenance tracking: the shim stamps an explicit
-    ``provenance: None`` so readers can distinguish "legacy file, nothing
-    to check" from "provenance present, verify it".  v2 documents pass
-    through unchanged.
-    """
-    schema = document.get("schema")
-    if schema == "repro-sweep-v2":
-        return document
-    if schema == "repro-sweep-v1":
-        upgraded = dict(document)
-        upgraded["schema"] = "repro-sweep-v2"
-        upgraded.setdefault("provenance", None)
-        return upgraded
-    raise ValueError(
-        f"unrecognized sweep file schema {schema!r}; "
-        "expected 'repro-sweep-v1' or 'repro-sweep-v2'"
-    )

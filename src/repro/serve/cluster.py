@@ -19,19 +19,24 @@ operational:
   :mod:`repro.sim.sigpolicy` policy objects (retry timeout/backoff,
   crankback budget, hold-timer horizon).
 
-Two router modes trade determinism against throughput:
+Every admission and release runs one walk, a *wave*: each undecided
+call's current candidate is tried in one *round*, all of a round's
+commands to a shard share a pickle frame, and refusals crank back into
+the next round.  An attempt is admitted when every touched shard books
+it, *refused* (one crankback, primary or alternate, as the signaling
+simulator counts them) when any shard refuses, and ``"shard-down"`` only
+when some shard failed and none refused.  The two router modes differ
+only in how many requests share a wave:
 
-* ``ordered`` — one request is decided end-to-end at a time.  With faults
+* ``ordered`` — one request per wave, under the router lock.  With faults
   off this is *bit-identical* to the single-process engine on the same
   trace (the replay-equivalence oracle in ``tests/test_cluster.py``), and
   it is the mode the chaos smoke uses so fault-free prefixes stay
   comparable;
-* ``pipelined`` — every request is its own task; per-shard command
-  buffers are flushed once per event-loop pass so hundreds of commands
-  share one pickle frame.  Concurrent set-ups may race for the same
-  circuits; the loser's reserve is refused and it cranks back — the
-  signaling simulator's *race abort*, here a live phenomenon rather than
-  a modelled one.
+* ``pipelined`` — concurrently submitted batches merge into one wave.
+  Set-ups in one wave may race for the same circuits; the loser's
+  reserve is refused and it cranks back — the signaling simulator's
+  *race abort*, here a live phenomenon rather than a modelled one.
 
 Fault tolerance is journal-centric: the router's
 :class:`ReservationJournal` (held call -> path/width) is the single
@@ -143,8 +148,9 @@ class ShardTimeout(ShardError):
 class ClusterConfig:
     """One cluster's shape and its signaling-policy knobs.
 
-    ``mode`` picks ordered (deterministic, engine-equivalent) or
-    pipelined (concurrent, race-aborts-as-crankbacks) routing.  The three
+    ``mode`` picks how many requests share an admission wave: one
+    (``ordered``: deterministic, engine-equivalent) or every batch
+    submitted concurrently (``pipelined``: race aborts crank back).  The three
     :mod:`repro.sim.sigpolicy` objects govern the distributed set-up
     exactly as they do the simulated one: ``retry`` bounds each shard
     RPC (timeout, retries, backoff), ``crankback`` optionally caps how
@@ -309,7 +315,6 @@ class ClusterRouter:
         self._down: set[int] = set()
         self._misses: dict[int, int] = {sid: 0 for sid in specs}
         self._lock = asyncio.Lock()
-        self._active: dict[int | str, asyncio.Task] = {}
         self._batches = 0
         self._path_groups: dict[tuple, tuple] = {}
         self._candidates = self._compile_candidates()
@@ -327,17 +332,18 @@ class ClusterRouter:
         self.policy_epoch = 0
         self.swaps: list[PolicySwap] = []
         registry = self.telemetry
-        self._m_primary = registry.counter("serve_decisions_total", tier="primary")
-        self._m_alternate = registry.counter("serve_decisions_total", tier="alternate")
-        self._m_rejected = {
+        #: The admission wave's counters, keyed by its tally names.
+        self._m_outcomes = {
+            tier: registry.counter("serve_decisions_total", tier=tier)
+            for tier in ("primary", "alternate")
+        } | {
             reason: registry.counter("serve_rejected_total", reason=reason)
             for reason in ("blocked", "no-route", "shard-down")
         }
         self._m_released = registry.counter("serve_released_total")
         self._m_errors = registry.counter("serve_errors_total")
-        self._m_fastpath = registry.counter("serve_cluster_fastpath_total")
-        self._m_twophase = registry.counter("serve_cluster_twophase_total")
-        self._m_crankbacks = registry.counter("serve_cluster_crankbacks_total")
+        for tally in ("fastpath", "twophase", "crankbacks"):
+            self._m_outcomes[tally] = registry.counter(f"serve_cluster_{tally}_total")
         self._m_retries = registry.counter("serve_cluster_frame_retries_total")
         self._m_restarts = registry.counter("serve_cluster_restarts_total")
         self._m_held = registry.gauge("serve_held_calls")
@@ -377,9 +383,6 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._wave_task = None
-        for task in list(self._active.values()):
-            task.cancel()
-        self._active.clear()
         for sid in list(self._conns):
             self._unregister_reader(sid)
             self._fail_inflight(sid, ShardDown(f"shard {sid}: router stopped"))
@@ -390,13 +393,8 @@ class ClusterRouter:
 
     async def drain(self) -> None:
         """Wait for every in-flight pipelined decision to settle."""
-        while self._active or self._batches:
-            if self._active:
-                await asyncio.gather(
-                    *list(self._active.values()), return_exceptions=True
-                )
-            else:
-                await asyncio.sleep(0.01)
+        while self._batches:
+            await asyncio.sleep(0.01)
 
     async def __aenter__(self) -> "ClusterRouter":
         await self.start()
@@ -722,14 +720,16 @@ class ClusterRouter:
         """Bake every O-D pair's candidate chains once, shard groups included.
 
         A chain entry is ``(path, kind, tier, groups)`` — everything the
-        admission loops need per attempt without per-request allocation.
-        The bounds themselves live on the shards, so a hot swap leaves
-        these chains as they are.
+        admission wave needs per attempt without per-request allocation;
+        ``kind`` names the shard's bound row.  The bounds themselves live
+        on the shards, so a hot swap leaves these chains as they are.
         """
         def chain(primary, alternates):
             entries = [(primary, PRIMARY_KIND, "primary", self._groups(primary))]
             for alt, __ in alternates:
-                entries.append((alt, len(alt), "alternate", self._groups(alt)))
+                entries.append(
+                    (alt, self._table.key_of(alt), "alternate", self._groups(alt))
+                )
             return tuple(entries)
 
         compiled: dict = {}
@@ -751,132 +751,6 @@ class ClusterRouter:
         chains, cum = entry
         return chains[choice_index(cum, uniform)]
 
-    async def _admit(self, request: AdmitRequest) -> Decision:
-        if request.id in self.journal.held:
-            self._m_errors.inc()
-            return Decision(request.id, False, None, "none", "duplicate-call")
-        candidates = self._candidates_for(request.od, request.uniform)
-        if candidates is None:
-            self._m_rejected["no-route"].inc()
-            return Decision(request.id, False, None, "none", "no-route")
-        width = request.width
-        crankback = self.config.crankback
-        skipped_down = 0
-        reroutes = 0
-        for index, (path, kind, tier, groups) in enumerate(candidates):
-            if tier == "alternate":
-                reroutes += 1
-                if crankback.exhausted(reroutes):
-                    break
-            if any(sid in self._down for sid, __ in groups):
-                skipped_down += 1
-                continue
-            rid = _reservation_id(request.id, index)
-            if len(groups) == 1:
-                verdict = await self._attempt_fast(groups, rid, width, kind)
-            else:
-                verdict = await self._attempt_two_phase(
-                    request.id, groups, rid, width, kind, path, tier
-                )
-            if verdict == "yes":
-                if len(groups) == 1:
-                    self.journal.record_admit(request.id, path, width, tier)
-                (self._m_primary if tier == "primary" else self._m_alternate).inc()
-                self._m_held.set(len(self.journal.held))
-                return Decision(request.id, True, path, tier, None)
-            if verdict == "down":
-                skipped_down += 1
-            elif tier == "alternate" or len(candidates) == 1:
-                self._m_crankbacks.inc()
-        reason = "shard-down" if skipped_down else "blocked"
-        self._m_rejected[reason].inc()
-        return Decision(request.id, False, None, "none", reason)
-
-    async def _attempt_fast(
-        self, groups: tuple, rid: str, width: int, kind: int
-    ) -> str:
-        ((sid, links),) = groups
-        try:
-            (result,) = await self._call(
-                sid, [("rescommit", rid, links, width, kind)]
-            )
-        except ShardError:
-            return "down"
-        self._m_fastpath.inc()
-        return "yes" if result == 1 else "no"
-
-    async def _attempt_two_phase(
-        self,
-        call_id: int | str,
-        groups: tuple,
-        rid: str,
-        width: int,
-        kind: int,
-        path: tuple[int, ...],
-        tier: str,
-    ) -> str:
-        self._m_twophase.inc()
-        outcomes = await asyncio.gather(
-            *(
-                self._call(sid, [("reserve", rid, links, width, kind)])
-                for sid, links in groups
-            ),
-            return_exceptions=True,
-        )
-        reserved: list[tuple[int, tuple[int, ...]]] = []
-        refused = failed = False
-        for (sid, links), outcome in zip(groups, outcomes):
-            if isinstance(outcome, BaseException):
-                failed = True
-            elif outcome[0] == 1:
-                reserved.append((sid, links))
-            else:
-                refused = True
-        if not refused and not failed:
-            # Journal first, then commit: a shard crashing mid-commit is
-            # resynced from the journal, so the admit survives the crash.
-            self.journal.record_admit(call_id, path, width, tier)
-            await asyncio.gather(
-                *(
-                    self._call(sid, [("commit", rid)])
-                    for sid, __ in reserved
-                ),
-                return_exceptions=True,
-            )
-            return "yes"
-        # Crankback: free the partial reservations.  A lost abort is not a
-        # leak — the worker's hold-timer reaps the orphan.
-        await asyncio.gather(
-            *(self._call(sid, [("abort", rid)]) for sid, __ in reserved),
-            return_exceptions=True,
-        )
-        return "down" if failed and not refused else "no"
-
-    async def _release(self, request: ReleaseRequest) -> Decision:
-        entry = self.journal.record_release(request.id)
-        if entry is None:
-            self._m_errors.inc()
-            return Decision(request.id, False, None, "release", "unknown-call")
-        path, width, __ = entry
-        rid = _release_id(request.id)
-        calls = []
-        for sid, links in self._groups(path):
-            if sid in self._down:
-                # The journal already forgot the call, so the restarted
-                # worker's resync lands on the post-release occupancy.
-                continue
-            calls.append(self._call(sid, [("release", rid, links, width)]))
-        if calls:
-            await asyncio.gather(*calls, return_exceptions=True)
-        self._m_released.inc()
-        self._m_held.set(len(self.journal.held))
-        return Decision(request.id, True, path, "release", None)
-
-    async def _dispatch(self, request: AdmitRequest | ReleaseRequest) -> Decision:
-        if type(request) is ReleaseRequest:
-            return await self._release(request)
-        return await self._admit(request)
-
     # ------------------------------------------------------------ public API
 
     async def hot_swap(
@@ -894,7 +768,7 @@ class ClusterRouter:
         ``length_thresholds`` (some or all per-hop-length rows; rows left
         out keep their bounds) must be given and must match the policy's
         discipline.  The swap is serialized
-        against ordered-mode dispatch by the router lock, so no decision
+        against ordered-mode waves by the router lock, so no decision
         straddles two policy versions; every shard gets one ``swap``
         command stamped with the new epoch, and the supervisor's respawn
         specs are updated first — a worker that crashes mid-broadcast is
@@ -912,14 +786,10 @@ class ClusterRouter:
             calls = []
             for sid, links in enumerate(self.partitions):
                 spec = self.supervisor.specs[sid]
-                thr_slice, tab_slice = shard_bounds(self._table, links)
-                spec["thresholds"] = thr_slice
-                spec["tables"] = tab_slice
+                spec["rows"] = rows = shard_bounds(self._table, links)
                 spec["epoch"] = epoch
                 if sid not in self._down:
-                    calls.append(
-                        self._call(sid, [("swap", epoch, thr_slice, tab_slice)])
-                    )
+                    calls.append(self._call(sid, [("swap", epoch, rows)]))
             if calls:
                 # A shard failing its swap is marked down by the transport
                 # layer and restarted by the monitor from the spec we just
@@ -931,39 +801,23 @@ class ClusterRouter:
         return max_delta
 
     async def submit(self, request: AdmitRequest | ReleaseRequest) -> Decision:
-        """Decide one request under the configured mode's concurrency."""
+        """Decide one request as a one-request wave (under the router lock
+        in ordered mode, queued like any batch in pipelined mode)."""
+        if self.config.mode == "pipelined":
+            (decision,) = await self.submit_batch([request])
+            return decision
         self.decisions_total += 1
-        if self.config.mode == "ordered":
-            async with self._lock:
-                return await self._dispatch(request)
-        if type(request) is ReleaseRequest:
-            prior = self._active.get(request.id)
-            if prior is not None:
-                # A release must observe its own call's admit: wait it out.
-                await asyncio.gather(prior, return_exceptions=True)
-            return await self._dispatch(request)
-        if request.id in self._active or request.id in self.journal.held:
-            self._m_errors.inc()
-            return Decision(request.id, False, None, "none", "duplicate-call")
-        task = asyncio.ensure_future(self._dispatch(request))
-        self._active[request.id] = task
-        try:
-            return await task
-        finally:
-            if self._active.get(request.id) is task:
-                del self._active[request.id]
+        async with self._lock:
+            (decision,) = await self._decide_batch_rounds([request])
+        return decision
 
     async def submit_batch(
         self, requests: list[AdmitRequest | ReleaseRequest]
     ) -> list[Decision]:
-        """Decide a batch; ordered mode serializes, pipelined overlaps.
-
-        The pipelined path decides the whole batch in candidate *rounds*
-        rather than request tasks: every still-undecided admission's
-        current candidate is tried in one volley — all of the round's
-        commands to a shard share a frame — then refusals crank back and
-        join the next round.  Per-request overhead collapses to dict
-        operations, which is what lets four worker processes outrun the
+        """Decide a batch: one :meth:`submit` wave per request in ordered
+        mode; in pipelined mode the batch joins the next merged wave
+        (:meth:`_wave_loop`), so its per-request overhead collapses to dict
+        operations — what lets four worker processes outrun the
         single-process socket server.
         """
         if self.config.mode == "ordered":
@@ -1031,6 +885,7 @@ class ClusterRouter:
     async def _decide_batch_rounds(
         self, requests: list[AdmitRequest | ReleaseRequest]
     ) -> list[Decision]:
+        """Decide one wave: the cluster's only admission and release walk."""
         decisions: list[Decision | None] = [None] * len(requests)
         admit_ids: set[int | str] = set()
         admits: list[tuple[int, AdmitRequest]] = []
@@ -1042,8 +897,7 @@ class ClusterRouter:
                 # after the admit wave; anything else can go first.
                 target = late_releases if request.id in admit_ids else early_releases
                 target.append((i, request))
-            elif (request.id in admit_ids or request.id in self.journal.held
-                    or request.id in self._active):
+            elif request.id in admit_ids or request.id in self.journal.held:
                 self._m_errors.inc()
                 decisions[i] = Decision(
                     request.id, False, None, "none", "duplicate-call"
@@ -1096,6 +950,11 @@ class ClusterRouter:
         admits: list[tuple[int, AdmitRequest]],
         decisions: list[Decision | None],
     ) -> None:
+        """Admit the wave's calls in candidate rounds: a ``rescommit`` for
+        a single-shard path, ``reserve`` on every touched shard for a
+        multi-shard one; outcomes as in the module docstring."""
+        if not admits:
+            return
         crankback = self.config.crankback
         journal = self.journal
         down = self._down
@@ -1114,17 +973,10 @@ class ClusterRouter:
                 decisions[i] = Decision(request.id, False, None, "none", "no-route")
                 continue
             active.append([i, request, candidates, 0, 0, 0])
-
-        def finalize(item: list) -> None:
-            reason = "shard-down" if item[5] else "blocked"
-            tallies[reason] += 1
-            decisions[item[0]] = Decision(item[1].id, False, None, "none", reason)
-
         while active:
             plan: list[tuple[list, tuple, int, str, tuple, dict, int | str]] = []
             for item in active:
                 candidates = item[2]
-                groups = None
                 while item[3] < len(candidates):
                     path, kind, tier, groups = candidates[item[3]]
                     if tier == "alternate":
@@ -1132,14 +984,16 @@ class ClusterRouter:
                         if crankback.exhausted(item[4]):
                             item[3] = len(candidates)
                             break
-                    if down and any(sid in down for sid, __ in groups):
-                        item[5] += 1
-                        item[3] += 1
-                        groups = None
-                        continue
-                    break
-                if item[3] >= len(candidates) or groups is None:
-                    finalize(item)
+                    if not (down and any(sid in down for sid, __ in groups)):
+                        break
+                    item[5] += 1
+                    item[3] += 1
+                if item[3] >= len(candidates):
+                    reason = "shard-down" if item[5] else "blocked"
+                    tallies[reason] += 1
+                    decisions[item[0]] = Decision(
+                        item[1].id, False, None, "none", reason
+                    )
                     continue
                 rid = _reservation_id(item[1].id, item[3])
                 plan.append((item, path, kind, tier, groups, {}, rid))
@@ -1174,7 +1028,8 @@ class ClusterRouter:
             for item, path, kind, tier, groups, votes, rid in plan:
                 i, request = item[0], item[1]
                 if all(vote == "yes" for vote in votes.values()):
-                    # Multi-shard: journal first, then commit (see _admit).
+                    # Journal first, then commit: a shard crashing
+                    # mid-commit is resynced from the journal.
                     journal.record_admit(request.id, path, request.width, tier)
                     if len(groups) > 1:
                         for sid, __ in groups:
@@ -1183,28 +1038,24 @@ class ClusterRouter:
                     decisions[i] = Decision(request.id, True, path, tier, None)
                     continue
                 # Crankback: abort whatever reserved, advance the candidate.
+                # A lost abort is not a leak: the hold-timer reaps it.
                 if len(groups) > 1:
                     for sid, __ in groups:
                         if votes.get(sid) == "yes":
                             after.setdefault(sid, []).append(("abort", rid))
-                if any(vote == "down" for vote in votes.values()):
-                    item[5] += 1
-                else:
+                if "no" in votes.values():
                     tallies["crankbacks"] += 1
+                else:  # some shard failed and none refused
+                    item[5] += 1
                 item[3] += 1
                 active.append(item)
             # Enqueued before the next round's reserves: per-shard FIFO
             # means every commit/abort lands ahead of the next attempt.
             for sid, cmds in after.items():
                 cleanup.append(self._enqueue(sid, cmds))
-        self._m_primary.inc(tallies["primary"])
-        self._m_alternate.inc(tallies["alternate"])
-        for reason in ("blocked", "shard-down", "no-route"):
-            if tallies[reason]:
-                self._m_rejected[reason].inc(tallies[reason])
-        self._m_fastpath.inc(tallies["fastpath"])
-        self._m_twophase.inc(tallies["twophase"])
-        self._m_crankbacks.inc(tallies["crankbacks"])
+        for tally, count in tallies.items():
+            if count:
+                self._m_outcomes[tally].inc(count)
         if cleanup:
             await asyncio.gather(*cleanup, return_exceptions=True)
 

@@ -18,9 +18,9 @@ commands over a :class:`multiprocessing.connection.Connection`:
 * ``release``  — teardown of an established call's circuits;
 * ``sync``     — crash recovery: overwrite occupancy from the router's
   journal replay and drop all pending reservations;
-* ``swap``     — hot policy swap: replace this shard's admission bounds
-  (scalar thresholds and/or per-length tables) and stamp the new policy
-  epoch, leaving occupancy and reservations untouched;
+* ``swap``     — hot policy swap: replace this shard's admission bound
+  rows and stamp the new policy epoch, leaving occupancy and reservations
+  untouched;
 * ``snapshot`` / ``ping`` — observability and liveness.
 
 The worker is deliberately single-threaded and blocking: commands within
@@ -57,7 +57,8 @@ __all__ = ["ShardWorker", "shard_worker_main"]
 _RECENT_LIMIT = 8192
 
 #: Primary-tier marker in a reserve/rescommit command's ``kind`` field;
-#: non-negative kinds are alternate attempts carrying the path length.
+#: an alternate attempt carries the key of the bound row it is tested
+#: against (:meth:`repro.routing.table.RouteTable.key_of`).
 PRIMARY_KIND = -1
 
 
@@ -68,12 +69,8 @@ class ShardWorker:
         self.shard_id = int(spec["shard_id"])
         self.links = tuple(spec["links"])
         self.capacities = dict(spec["capacities"])
-        self.thresholds = dict(spec["thresholds"])
         self.policy_epoch = int(spec.get("epoch", 0))
-        tables = spec.get("tables")
-        self.tables = None if tables is None else {
-            int(h): dict(row) for h, row in tables.items()
-        }
+        self._install(spec["rows"])
         hold = spec.get("hold_timer")
         self.hold_timer = None if hold is None else float(hold)
         self.clock = clock
@@ -102,13 +99,11 @@ class ShardWorker:
 
     # -------------------------------------------------------------- helpers
 
-    def _bounds(self, kind: int) -> dict[int, int]:
-        """The per-link bounds an attempt of ``kind`` is checked against."""
-        if kind == PRIMARY_KIND:
-            return self.capacities
-        if self.tables is not None:
-            return self.tables[kind]
-        return self.thresholds
+    def _install(self, rows: dict) -> None:
+        """Key the per-link bounds by the ``kind`` attempts carry: each
+        bound row under its row key, the capacities under the primary's."""
+        self.bounds = {int(key): dict(row) for key, row in rows.items()}
+        self.bounds[PRIMARY_KIND] = self.capacities
 
     def _remember(self, rid: str, result: int) -> int:
         self.recent[rid] = result
@@ -147,7 +142,7 @@ class ShardWorker:
             cached = self.recent.get(rid)
             if cached is not None:
                 return cached
-            bounds = self._bounds(kind)
+            bounds = self.bounds[kind]
             for link in links:
                 if self.occupancy[link] + width > bounds[link]:
                     self.tallies["shard_refusals"] += 1
@@ -202,12 +197,8 @@ class ShardWorker:
             # already booked keep their circuits — only future admission
             # tests see the new bounds — and the epoch stamp makes every
             # later snapshot attributable to the version in force.
-            __, epoch, thresholds, tables = command
-            self.thresholds = {int(l): int(t) for l, t in thresholds.items()}
-            self.tables = None if tables is None else {
-                int(h): {int(l): int(t) for l, t in row.items()}
-                for h, row in tables.items()
-            }
+            __, epoch, rows = command
+            self._install(rows)
             self.policy_epoch = int(epoch)
             self.tallies["shard_swaps"] += 1
             return 1

@@ -58,20 +58,17 @@ def partition_links(num_links: int, num_shards: int) -> tuple[tuple[int, ...], .
     )
 
 
-def shard_bounds(table: RouteTable, links: Sequence[int]) -> tuple[dict, dict | None]:
-    """One shard's slice of ``table`` in the shard wire format.
+def shard_bounds(table: RouteTable, links: Sequence[int]) -> dict[int, dict[int, int]]:
+    """One shard's slice of ``table``'s bound rows in the shard wire format.
 
-    ``(thresholds, tables)``: the flat per-link bound row and, for a
-    ``length-threshold`` table, every per-length row — each keyed by
-    *global* link id, so the worker never imports the policy.
+    ``{row key: {link: bound}}`` over *global* link ids, so the worker
+    never imports the policy; an alternate attempt names its row by the
+    key :meth:`RouteTable.key_of` gives.
     """
-    flat = table.flat
-    rows = table.length_rows
-    return (
-        {link: flat[link] for link in links},
-        None if rows is None
-        else {h: {link: row[link] for link in links} for h, row in rows.items()},
-    )
+    return {
+        key: {link: row[link] for link in links}
+        for key, row in table.rows.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -225,19 +222,17 @@ class NetworkState:
         """Self-contained state slice for one cluster shard worker.
 
         Everything a worker process needs to admit against its links —
-        capacities, alternate thresholds, per-length threshold tables —
-        as plain picklable lists keyed by *global* link id, so the worker
+        capacities and the table's bound rows (:func:`shard_bounds`) — as
+        plain picklable dicts keyed by *global* link id, so the worker
         never imports the policy or the network.
         """
         links = tuple(int(link) for link in links)
-        thresholds, tables = shard_bounds(self.table, links)
         return {
             "shard_id": int(shard_id),
             "epoch": int(self.policy_epoch),
             "links": links,
             "capacities": {l: int(self.capacities[l]) for l in links},
-            "thresholds": thresholds,
-            "tables": tables,
+            "rows": shard_bounds(self.table, links),
         }
 
     # -------------------------------------------------------------- hot swap

@@ -263,9 +263,17 @@ class TestLabProvenance:
         for res_a, res_b in zip(first.outcome.results, resumed.outcome.results):
             _assert_bit_identical(res_a, res_b)
 
-    def test_lab_statuses_carry_backend(self, tmp_path):
+    @pytest.mark.parametrize("parallel, backend, recorded", [
+        (False, "auto", "batch"),
+        (False, "reference", "reference"),
+        (True, "auto", "auto"),
+        (True, "reference", "reference"),
+    ])
+    def test_lab_statuses_carry_backend(self, tmp_path, parallel, backend,
+                                        recorded):
         lab = LabConfig(store=tmp_path / "store")
-        study = run_study(self._scenario(), config=self.QUICK, lab=lab)
+        study = run_study(self._scenario(), config=self.QUICK, lab=lab,
+                          parallel=parallel, max_workers=2, backend=backend)
         assert all(
-            s.backend == "batch" for s in study.outcome.statuses
+            s.backend == recorded for s in study.outcome.statuses
         )

@@ -165,6 +165,34 @@ class TestReplayEquivalence:
         assert audit["consistent"]
         assert audit["leaked_circuits"] == 0
 
+    def test_one_request_pipelined_waves_match_ordered_mode(
+        self, quad_network, cluster_policy, cluster_trace, engine_reference
+    ):
+        # Both modes run the one admission walk and differ only in wave
+        # size, so one-request pipelined batches must decide like the
+        # engine and count attempts exactly as ordered mode does.
+        counters = (
+            "serve_cluster_fastpath_total",
+            "serve_cluster_twophase_total",
+            "serve_cluster_crankbacks_total",
+        )
+
+        async def run(mode):
+            router = ClusterRouter(
+                quad_network, cluster_policy,
+                ClusterConfig(num_shards=3, mode=mode),
+            )
+            async with router:
+                report = await replay_trace_cluster(
+                    router, cluster_trace, warmup=WARMUP, batch_size=1
+                )
+            return report, [router.telemetry.counter(c).value for c in counters]
+
+        __, ordered_counts = asyncio.run(run("ordered"))
+        pipelined, pipelined_counts = asyncio.run(run("pipelined"))
+        assert pipelined.decisions == engine_reference.decisions
+        assert pipelined_counts == ordered_counts
+
     def test_pipelined_cluster_is_leak_free_and_complete(
         self, quad_network, cluster_policy, cluster_trace
     ):

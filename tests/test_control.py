@@ -537,13 +537,13 @@ class TestShardSwapOp:
             "shard_id": 0,
             "links": (0, 1),
             "capacities": {0: 10, 1: 10},
-            "thresholds": {0: 7, 1: 7},
+            "rows": {3: {0: 7, 1: 7}},
         })
         assert worker.policy_epoch == 0
         assert worker.handle(("rescommit", "a", (0,), 1, 3)) == 1
-        assert worker.handle(("swap", 4, {0: 1, 1: 2}, None)) == 1
+        assert worker.handle(("swap", 4, {3: {0: 1, 1: 2}})) == 1
         assert worker.policy_epoch == 4
-        assert worker.thresholds == {0: 1, 1: 2}
+        assert worker.bounds[3] == {0: 1, 1: 2}
         # One circuit is already booked on link 0; the new bound of 1
         # refuses further alternates while the old bound admitted them.
         assert worker.handle(("rescommit", "b", (0,), 1, 3)) == 0
@@ -557,10 +557,10 @@ class TestShardSwapOp:
             "shard_id": 1,
             "links": (0,),
             "capacities": {0: 10},
-            "thresholds": {0: 7},
+            "rows": {2: {0: 7}, 3: {0: 7}},
         })
-        worker.handle(("swap", 1, {0: 5}, {2: {0: 6}, 3: {0: 2}}))
-        assert worker.tables == {2: {0: 6}, 3: {0: 2}}
+        worker.handle(("swap", 1, {2: {0: 6}, 3: {0: 2}}))
+        assert (worker.bounds[2], worker.bounds[3]) == ({0: 6}, {0: 2})
         # kind = alternate hop length selects the per-length bound.
         for __ in range(2):
             worker.handle(("rescommit", f"r{__}", (0,), 1, 3))

@@ -62,22 +62,16 @@ class TestStorage:
         assert document["schema"] == "repro-sweep-v2"
         assert document["points"][0]["blocking"]["controlled"]["mean"] == 0.03
 
-    def test_legacy_v1_file_still_loads(self, tmp_path):
-        # v1 files predate provenance; the migration shim loads them
-        # unchanged and without warnings.
+    def test_legacy_v1_file_is_refused(self, tmp_path):
+        # v1 files predate provenance and are no longer migrated on load.
         path = tmp_path / "sweep.json"
         save_sweep(path, make_points(), title="legacy")
         document = json.loads(path.read_text())
         document["schema"] = "repro-sweep-v1"
         del document["provenance"]
         path.write_text(json.dumps(document))
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            points, __, title = load_sweep(path)
-        assert title == "legacy"
-        assert points[0].load == 90.0
+        with pytest.raises(ValueError, match="'repro-sweep-v1'"):
+            load_sweep(path)
 
     def test_provenance_mismatch_warns(self, tmp_path):
         from repro.experiments.storage import ProvenanceWarning
