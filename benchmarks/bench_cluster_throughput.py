@@ -22,13 +22,17 @@ lines) can show through.  ``REPRO_BENCH_SPEEDUP_SCALE`` overrides the
 derived scale, as in the other benchmarks.
 
 Results land in ``BENCH_cluster_throughput.json`` at the repo root,
-with the machine context recorded so a reader can judge the number.
+with the machine and code they were measured on (perfbench's
+``environment()`` block: CPUs, Python, numpy, git SHA) so a reader can
+judge the number.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import sys
 from pathlib import Path
 
 from repro.routing.alternate import ControlledAlternateRouting
@@ -55,6 +59,15 @@ else:
 _CLUSTER_SPEEDUP_BAR = 3.0 * _SPEEDUP_SCALE
 
 
+def _environment() -> dict:
+    """The machine and code record of ``perfbench/run.py``."""
+    sys.path.insert(0, str(_REPO_ROOT / "perfbench"))
+    try:
+        return importlib.import_module("run").environment()
+    finally:
+        sys.path.remove(str(_REPO_ROOT / "perfbench"))
+
+
 def test_cluster_throughput(bench_config):
     network = quadrangle(100)
     table = build_path_table(network)
@@ -79,6 +92,7 @@ def test_cluster_throughput(bench_config):
 
     document = {
         "schema": "repro-bench-cluster-throughput-v1",
+        "environment": _environment(),
         "fidelity": {
             "measured_duration": bench_config.measured_duration,
             "speedup_scale": _SPEEDUP_SCALE,

@@ -12,12 +12,22 @@ operational:
   **single hop** (``rescommit``): one command, no reservation state;
 * a path spanning shards runs **two-phase reserve/commit**: phase 1
   reserves the circuits on every touched shard in parallel under a
-  hold-timer; if every shard says yes the router journals the call and
-  commits, otherwise it aborts the partial reservations and **cranks
-  back** to the next alternate — exactly the protocol
-  :mod:`repro.sim.signaling` simulates, driven by the same
-  :mod:`repro.sim.sigpolicy` policy objects (retry timeout/backoff,
-  crankback budget, hold-timer horizon).
+  hold-timer; if every shard says yes the router journals the call,
+  answers it, and posts the commits, otherwise it posts aborts for the
+  partial reservations and **cranks back** to the next alternate —
+  exactly the protocol :mod:`repro.sim.signaling` simulates, driven by
+  the same :mod:`repro.sim.sigpolicy` policy objects (retry
+  timeout/backoff, crankback budget, hold-timer horizon).
+
+A call is answered on its phase-1 votes.  Commits, aborts and releases
+are *posts*: buffered for their shard with no reply awaited, they leave
+inside the next frame sent to it (at the latest the next heartbeat), so
+no frame exists just to carry them.  The transport keeps at most one
+frame in flight per shard and sends what was buffered meanwhile when
+the reply arrives, so every shard applies commands in the order the
+router issued them even when chaos delays or drops a frame.  A commit
+that reaches a shard after its hold-timer reaped the reservation
+re-books it before any later reserve is checked.
 
 Every admission and release runs one walk, a *wave*: each undecided
 call's current candidate is tried in one *round*, all of a round's
@@ -250,9 +260,10 @@ class ReservationJournal:
 class _Frame:
     """One in-flight router->shard frame awaiting its reply.
 
-    ``entries`` maps contiguous result slices back to caller futures:
-    each ``(future, count)`` receives the next ``count`` results as a
-    list, so one frame can carry many callers' command groups.
+    ``entries`` maps result slices back to caller futures: each
+    ``(future, start, stop)`` receives ``results[start:stop]``, so one
+    frame can carry many callers' command groups.  Posted commands have
+    no entry; their results are dropped.
     """
 
     __slots__ = ("commands", "entries", "attempt", "timer", "done")
@@ -385,7 +396,7 @@ class ClusterRouter:
             self._wave_task = None
         for sid in list(self._conns):
             self._unregister_reader(sid)
-            self._fail_inflight(sid, ShardDown(f"shard {sid}: router stopped"))
+            self._fail_pending(sid, ShardDown(f"shard {sid}: router stopped"))
         self.supervisor.stop_all()
         self._conns.clear()
         self.journal.close()
@@ -481,22 +492,21 @@ class ClusterRouter:
         record.done = True
         if record.timer is not None:
             record.timer.cancel()
-        offset = 0
-        for future, count in record.entries:
+        for future, start, stop in record.entries:
             if not future.done():
-                future.set_result(results[offset:offset + count])
-            offset += count
+                future.set_result(results[start:stop])
+        self._flush(sid)  # the gate is open: what waited leaves now
 
-    def _fail_inflight(self, sid: int, error: ShardError) -> None:
-        inflight = self._inflight[sid]
-        for record in inflight.values():
-            record.done = True
-            if record.timer is not None:
-                record.timer.cancel()
-            for future, __ in record.entries:
-                if not future.done():
-                    future.set_exception(error)
-        inflight.clear()
+    def _fail_pending(self, sid: int, error: ShardError) -> None:
+        """Fail every reply ``sid`` owes, in flight or still buffered;
+        buffered posts are dropped (the journal resync covers them)."""
+        for record in self._inflight[sid].values():
+            self._fail_record(record, error)
+        self._inflight[sid].clear()
+        for __, future in self._buffers[sid]:
+            if future is not None and not future.done():
+                future.set_exception(error)
+        self._buffers[sid].clear()
 
     def _mark_down(self, sid: int, why: str) -> None:
         if sid in self._down:
@@ -504,16 +514,15 @@ class ClusterRouter:
         self._down.add(sid)
         self._epochs[sid] += 1
         self._unregister_reader(sid)
-        self._fail_inflight(sid, ShardDown(f"shard {sid} down: {why}"))
-        self._buffers[sid].clear()
+        self._fail_pending(sid, ShardDown(f"shard {sid} down: {why}"))
         self._rbufs[sid] = bytearray()
         self._wbufs[sid] = bytearray()
         self._m_up[sid].set(0)
 
     def _enqueue(self, sid: int, commands: list[tuple]) -> asyncio.Future:
-        """Buffer one command group for ``sid``; flushed once per loop pass.
+        """Buffer one command group for ``sid``; the future resolves to
+        its results in order.
 
-        The returned future resolves to the group's results in order.
         Groups from many callers share pickle frames, which is where the
         pipelined mode's throughput comes from.
         """
@@ -521,34 +530,42 @@ class ClusterRouter:
         if sid in self._down:
             future.set_exception(ShardDown(f"shard {sid} is down"))
             return future
-        buffer = self._buffers[sid]
-        if not buffer:
-            self._loop.call_soon(self._flush, sid)
-        buffer.append((commands, future))
+        self._buffers[sid].append((commands, future))
+        self._loop.call_soon(self._flush, sid)
         return future
 
+    def _post(self, sid: int, commands: list[tuple]) -> None:
+        """Buffer commands that need no reply; they leave, in order, in
+        the next frame sent to ``sid``.  Dropped while ``sid`` is down:
+        its restart resyncs from the journal."""
+        if sid not in self._down:
+            self._buffers[sid].append((commands, None))
+
     def _flush(self, sid: int) -> None:
+        """Send ``sid``'s buffer as one frame, unless one is in flight.
+
+        One frame in flight per shard keeps each shard's apply order the
+        router's send order even when chaos delays or drops a frame (a
+        posted release is never overtaken by the next reserve); what is
+        buffered meanwhile leaves when the reply arrives.  Posts alone
+        never make a frame.
+        """
         buffer = self._buffers[sid]
-        if not buffer:
+        if self._inflight[sid] or all(future is None for __, future in buffer):
             return
-        self._buffers[sid] = []
-        if sid in self._down:
-            for __, future in buffer:
-                if not future.done():
-                    future.set_exception(ShardDown(f"shard {sid} is down"))
-            return
-        # Pack whole groups into frames up to the size cap (groups are a
-        # handful of commands each, far below the cap).
+        # Whole groups up to the size cap; the rest waits for the reply.
         commands: list[tuple] = []
-        entries: list[tuple[asyncio.Future, int]] = []
+        entries: list[tuple[asyncio.Future, int, int]] = []
+        taken = 0
         for group, future in buffer:
             if commands and len(commands) + len(group) > _MAX_FRAME_COMMANDS:
-                self._send_frame(sid, _Frame(commands, entries, attempt=0))
-                commands, entries = [], []
+                break
+            if future is not None:
+                entries.append((future, len(commands), len(commands) + len(group)))
             commands.extend(group)
-            entries.append((future, len(group)))
-        if commands:
-            self._send_frame(sid, _Frame(commands, entries, attempt=0))
+            taken += 1
+        del buffer[:taken]
+        self._send_frame(sid, _Frame(commands, entries, attempt=0))
 
     def _send_frame(self, sid: int, record: _Frame) -> None:
         if record.done:
@@ -643,7 +660,7 @@ class ClusterRouter:
         record.done = True
         if record.timer is not None:
             record.timer.cancel()
-        for future, __ in record.entries:
+        for future, __, ___ in record.entries:
             if not future.done():
                 future.set_exception(error)
 
@@ -905,17 +922,19 @@ class ClusterRouter:
             else:
                 admit_ids.add(request.id)
                 admits.append((i, request))
-        await self._release_wave(early_releases, decisions)
+        self._release_wave(early_releases, decisions)
         await self._admit_wave(admits, decisions)
-        await self._release_wave(late_releases, decisions)
+        self._release_wave(late_releases, decisions)
         self._m_held.set(len(self.journal.held))
         return decisions
 
-    async def _release_wave(
+    def _release_wave(
         self,
         releases: list[tuple[int, ReleaseRequest]],
         decisions: list[Decision | None],
     ) -> None:
+        """Journal each teardown and post its ``release`` commands: the
+        origin's TEARDOWN goes forward unanswered, as in the paper."""
         if not releases:
             return
         by_shard: dict[int, list[tuple]] = {}
@@ -931,19 +950,14 @@ class ClusterRouter:
             path, width, __ = entry
             rid = _release_id(request.id)
             for sid, links in self._groups(path):
-                if sid in self._down:
-                    continue  # journal already forgot it; resync heals
                 by_shard.setdefault(sid, []).append(("release", rid, links, width))
             released += 1
             decisions[i] = Decision(request.id, True, path, "release", None)
         self._m_released.inc(released)
         if errors:
             self._m_errors.inc(errors)
-        if by_shard:
-            await asyncio.gather(
-                *(self._enqueue(sid, cmds) for sid, cmds in by_shard.items()),
-                return_exceptions=True,
-            )
+        for sid, cmds in by_shard.items():
+            self._post(sid, cmds)
 
     async def _admit_wave(
         self,
@@ -958,7 +972,6 @@ class ClusterRouter:
         crankback = self.config.crankback
         journal = self.journal
         down = self._down
-        cleanup: list[asyncio.Future] = []
         tallies = {
             "primary": 0, "alternate": 0, "blocked": 0, "shard-down": 0,
             "no-route": 0, "fastpath": 0, "twophase": 0, "crankbacks": 0,
@@ -1022,8 +1035,8 @@ class ClusterRouter:
                     for votes, result in zip(shard_tags, reply):
                         votes[sid] = "yes" if result == 1 else "no"
             active = []
-            # Phase-2 traffic for the whole round, batched per shard (one
-            # future per shard per round, not one per admission).
+            # The call is answered on its votes: phase-2 traffic is posted,
+            # batched per shard, and rides the shard's next frame.
             after: dict[int, list[tuple]] = {}
             for item, path, kind, tier, groups, votes, rid in plan:
                 i, request = item[0], item[1]
@@ -1049,15 +1062,13 @@ class ClusterRouter:
                     item[5] += 1
                 item[3] += 1
                 active.append(item)
-            # Enqueued before the next round's reserves: per-shard FIFO
+            # Posted before the next round's reserves: per-shard FIFO
             # means every commit/abort lands ahead of the next attempt.
             for sid, cmds in after.items():
-                cleanup.append(self._enqueue(sid, cmds))
+                self._post(sid, cmds)
         for tally, count in tallies.items():
             if count:
                 self._m_outcomes[tally].inc(count)
-        if cleanup:
-            await asyncio.gather(*cleanup, return_exceptions=True)
 
     async def audit(self) -> dict:
         """Diff every live shard's occupancy against the journal.

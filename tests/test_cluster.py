@@ -28,7 +28,7 @@ from repro.serve import (
     replay_trace,
     replay_trace_cluster,
 )
-from repro.serve.cluster import _release_id, _reservation_id
+from repro.serve.cluster import ShardDown, _release_id, _reservation_id
 from repro.sim.sigpolicy import HoldTimerPolicy, RetryPolicy
 from repro.sim.trace import generate_trace
 from repro.topology.paths import build_path_table
@@ -55,6 +55,12 @@ def cluster_trace(quad_network):
 def engine_reference(quad_network, cluster_policy, cluster_trace):
     engine = RequestEngine(quad_network, cluster_policy)
     return replay_trace(engine, cluster_trace, warmup=WARMUP)
+
+
+@pytest.fixture(scope="module")
+def short_trace(quad_network):
+    traffic = uniform_traffic(quad_network.num_nodes, 95.0)
+    return generate_trace(traffic, duration=4.0, seed=21)
 
 
 class TestPureLogic:
@@ -165,6 +171,40 @@ class TestReplayEquivalence:
         assert audit["consistent"]
         assert audit["leaked_circuits"] == 0
 
+    def test_commits_aborts_and_releases_never_travel_alone(
+        self, quad_network, cluster_policy, cluster_trace, engine_reference
+    ):
+        # A call is answered on its phase-1 votes: its commits, aborts and
+        # releases need no reply, so they ride the shard's next frame
+        # instead of making frames of their own.
+        posts = {"commit", "abort", "release"}
+
+        async def run():
+            router = ClusterRouter(
+                quad_network, cluster_policy,
+                ClusterConfig(num_shards=3, mode="ordered",
+                              heartbeat_interval=30.0),
+            )
+            frames = []
+            send = router._send_frame
+
+            def spy(sid, record):
+                if record.attempt == 0:
+                    frames.append({command[0] for command in record.commands})
+                send(sid, record)
+
+            router._send_frame = spy
+            async with router:
+                report = await replay_trace_cluster(
+                    router, cluster_trace, warmup=WARMUP
+                )
+            return report, frames
+
+        report, frames = asyncio.run(run())
+        assert report.decisions == engine_reference.decisions
+        assert frames
+        assert [ops for ops in frames if ops <= posts] == []
+
     def test_one_request_pipelined_waves_match_ordered_mode(
         self, quad_network, cluster_policy, cluster_trace, engine_reference
     ):
@@ -265,6 +305,62 @@ class TestFaultTolerance:
         assert audit["consistent"]
         assert audit["leaked_circuits"] == 0
         assert audit["pending_reservations"] == 0
+
+    def test_delay_chaos_keeps_ordered_decisions_identical(
+        self, quad_network, cluster_policy, short_trace
+    ):
+        # Delayed frames must not reorder a shard's commands: a posted
+        # release overtaken by the next reserve would change a verdict.
+        reference = replay_trace(
+            RequestEngine(quad_network, cluster_policy), short_trace,
+            warmup=WARMUP,
+        )
+
+        async def run():
+            router = ClusterRouter(
+                quad_network, cluster_policy,
+                ClusterConfig(
+                    num_shards=3,
+                    mode="ordered",
+                    chaos=ChaosConfig(seed=11, delay_probability=0.2,
+                                      delay_seconds=0.002),
+                ),
+            )
+            async with router:
+                report = await replay_trace_cluster(
+                    router, short_trace, warmup=WARMUP
+                )
+                audit = await router.audit()
+            return report, audit, dict(router.chaos.decisions)
+
+        report, audit, chaos = asyncio.run(run())
+        assert chaos["delayed"] > 0
+        assert report.decisions == reference.decisions
+        assert audit["consistent"]
+        assert audit["leaked_circuits"] == 0
+        assert audit["pending_reservations"] == 0
+
+    def test_buffered_group_fails_when_its_shard_goes_down(
+        self, quad_network, cluster_policy
+    ):
+        async def run():
+            router = ClusterRouter(
+                quad_network, cluster_policy,
+                ClusterConfig(num_shards=3, heartbeat_interval=30.0),
+            )
+            async with router:
+                # Marked down in the same loop step, before any flush:
+                # the group is still buffered and must fail, not hang.
+                buffered = router._enqueue(0, [("ping",)])
+                router._mark_down(0, "test-induced")
+                with pytest.raises(ShardDown):
+                    await asyncio.wait_for(buffered, 2.0)
+                stopped = router._enqueue(1, [("ping",)])
+            # Stopping the router answers everything it still owed.
+            with pytest.raises(ShardDown):
+                await asyncio.wait_for(stopped, 2.0)
+
+        asyncio.run(run())
 
     def test_down_shard_degrades_instead_of_failing(
         self, quad_network, cluster_policy

@@ -1,15 +1,21 @@
 #!/usr/bin/env python
 """CI smoke test for the sharded admission cluster's fault tolerance.
 
-Two live cluster runs over the quadrangle workload, cross-checked
+Three live cluster runs over the quadrangle workload, cross-checked
 against the single-process engine:
 
 1. **fault-free** — an ordered-mode cluster (3 shards) replays the
    trace; every decision must be bit-identical to
    :class:`repro.serve.engine.RequestEngine` on the same trace and the
-   journal audit must show zero leaked circuits (the replay-equivalence
-   oracle, exercised end to end through real worker processes);
-2. **chaos** — the same workload under a seeded fault plan: shard 1
+   journal audit must show zero leaked circuits and zero pending
+   reservations (the replay-equivalence oracle, exercised end to end
+   through real worker processes);
+2. **message chaos** — the same replay under the chaos plan below minus
+   its kill: frames are dropped and delayed, none is lost for good, so
+   every decision must still equal the engine's (a shard applies its
+   commands in the order the router sent them, however late a frame
+   arrives) and, after the hold-timer horizon, the audit must be clean;
+3. **chaos** — the same workload under a seeded fault plan: shard 1
    self-crashes mid-run (``kill_after_ops``) and the router's transport
    drops/delays frames under seeded RNG control.  The run must
    *recover* (the supervisor restarts exactly the killed shard, every
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import shutil
 import sys
@@ -100,32 +107,39 @@ def write_jsonl(path: Path, events: list[dict]) -> None:
     path.write_text("".join(json.dumps(e) + "\n" for e in events))
 
 
-async def fault_free_run(network, policy, trace, reference, workdir: Path) -> dict:
-    config = ClusterConfig(num_shards=NUM_SHARDS, mode="ordered")
+async def exact_run(network, policy, trace, reference, workdir: Path,
+                    name: str, config: ClusterConfig,
+                    settle: float = 0.0) -> dict:
+    """Replay under ``config``: every decision must equal the engine's and,
+    ``settle`` seconds after the replay, the audit must be clean."""
     router = ClusterRouter(network, policy, config)
     async with router:
         report = await replay_trace_cluster(router, trace, warmup=WARMUP)
+        await asyncio.sleep(settle)
         audit = await router.audit()
         telemetry = router.telemetry.snapshot()
     mismatches = sum(
         1 for mine, theirs in zip(report.decisions, reference.decisions)
         if mine != theirs
     )
-    if mismatches:
+    if mismatches or len(report.decisions) != len(reference.decisions):
         raise SystemExit(
-            f"fault-free cluster diverged from the engine on "
+            f"{name} cluster diverged from the engine on "
             f"{mismatches}/{len(report.decisions)} decisions"
         )
-    if not audit["consistent"] or audit["leaked_circuits"]:
-        raise SystemExit(f"fault-free audit not clean: {audit}")
-    write_jsonl(workdir / "cluster-fault-free-telemetry.jsonl",
+    if (not audit["consistent"] or audit["leaked_circuits"]
+            or audit["pending_reservations"]):
+        raise SystemExit(f"{name} audit not clean: {audit}")
+    write_jsonl(workdir / f"cluster-{name}-telemetry.jsonl",
                 [{"kind": "cluster_metrics", **telemetry}])
     return {
         "requests": len(report.decisions),
         "blocking": report.result.network_blocking,
         "decisions_per_second": report.decisions_per_second,
+        "chaos": None if router.chaos is None else dict(router.chaos.decisions),
         "audit": {k: audit[k] for k in
-                  ("consistent", "leaked_circuits", "held_calls")},
+                  ("consistent", "leaked_circuits", "pending_reservations",
+                   "held_calls")},
     }
 
 
@@ -227,18 +241,33 @@ def main() -> int:
     engine = RequestEngine(network, policy)
     reference = replay_trace(engine, trace, warmup=WARMUP)
 
-    print("[1/2] fault-free ordered cluster vs engine (bit-equivalence)")
+    print("[1/3] fault-free ordered cluster vs engine (bit-equivalence)")
     started = time.perf_counter()
-    fault_free = asyncio.run(
-        fault_free_run(network, policy, trace, reference, workdir)
-    )
+    fault_free = asyncio.run(exact_run(
+        network, policy, trace, reference, workdir, "fault-free",
+        ClusterConfig(num_shards=NUM_SHARDS, mode="ordered"),
+    ))
     print(
         f"      {fault_free['requests']} decisions identical, blocking "
         f"{fault_free['blocking']:.4f}, "
         f"{fault_free['decisions_per_second']:,.0f}/s"
     )
 
-    print("[2/2] seeded chaos: kill shard 1 mid-run + message drop/delay")
+    print("[2/3] seeded message drop/delay, no kill (bit-equivalence)")
+    message_chaos = asyncio.run(exact_run(
+        network, policy, trace, reference, workdir, "message-chaos",
+        ClusterConfig(
+            num_shards=NUM_SHARDS, mode="ordered", retry=RETRY, hold=HOLD,
+            chaos=dataclasses.replace(CHAOS, kill_after_ops={}),
+        ),
+        settle=HOLD.duration + 0.8,
+    ))
+    print(
+        f"      {message_chaos['requests']} decisions identical under "
+        f"{message_chaos['chaos']}, audit {message_chaos['audit']}"
+    )
+
+    print("[3/3] seeded chaos: kill shard 1 mid-run + message drop/delay")
     chaos = asyncio.run(chaos_run(network, policy, trace, reference, workdir))
     print(
         f"      recovered (restarts {chaos['restarts']}), fault-free "
@@ -251,6 +280,7 @@ def main() -> int:
         "kind": "cluster_smoke_summary",
         "elapsed_seconds": time.perf_counter() - started,
         "fault_free": fault_free,
+        "message_chaos": message_chaos,
         "chaos": chaos,
     }
     write_jsonl(workdir / "cluster-smoke-summary.jsonl", [summary])
