@@ -29,10 +29,8 @@ judge the number.
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
-import sys
 from pathlib import Path
 
 from repro.routing.alternate import ControlledAlternateRouting
@@ -59,16 +57,7 @@ else:
 _CLUSTER_SPEEDUP_BAR = 3.0 * _SPEEDUP_SCALE
 
 
-def _environment() -> dict:
-    """The machine and code record of ``perfbench/run.py``."""
-    sys.path.insert(0, str(_REPO_ROOT / "perfbench"))
-    try:
-        return importlib.import_module("run").environment()
-    finally:
-        sys.path.remove(str(_REPO_ROOT / "perfbench"))
-
-
-def test_cluster_throughput(bench_config):
+def test_cluster_throughput(bench_config, bench_environment):
     network = quadrangle(100)
     table = build_path_table(network)
     traffic = uniform_traffic(network.num_nodes, 95.0)
@@ -92,7 +81,7 @@ def test_cluster_throughput(bench_config):
 
     document = {
         "schema": "repro-bench-cluster-throughput-v1",
-        "environment": _environment(),
+        "environment": bench_environment,
         "fidelity": {
             "measured_duration": bench_config.measured_duration,
             "speedup_scale": _SPEEDUP_SCALE,

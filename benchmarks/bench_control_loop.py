@@ -16,9 +16,9 @@ EXP-CTL study to certify the fix (:mod:`repro.control`):
 * **swap overhead** — hot swaps are atomic between micro-batches; their
   measured latency must stay in the sub-millisecond range;
 * **tracking** — swap counts and time-to-reconverge from the serve-plane
-  regime-shift report, plus bit-identity of the EWMA arm's batch-kernel
-  replay against the scalar loop (the kernel's ``threshold_schedule``
-  support is load-bearing here).
+  regime-shift report, plus, on every seed, bit-identity of the EWMA arm
+  against the serve engine replaying the same adaptation
+  (``ewma_engine_matches_loop``).
 
 Results land in ``BENCH_control_loop.json`` at the repo root.  Fidelity
 knobs shared with the other benchmarks: ``REPRO_BENCH_SEEDS``,
@@ -76,11 +76,10 @@ def test_control_loop(bench_config):
         assert doc["clamp_violations"] == 0, (
             f"{spec}: controller violated the Theorem-1 protection floor"
         )
-        # The EWMA arm's piecewise-constant schedule replayed through the
-        # batch kernel must agree with the scalar loop bit for bit.
-        assert doc["ewma_batch_matches_loop"], (
-            f"{spec}: batch threshold_schedule replay diverged from the "
-            "scalar adaptive loop"
+        # The serve engine replaying the EWMA arm's adaptation must agree
+        # with the adaptive simulator bit for bit, on every seed.
+        assert doc["ewma_engine_matches_loop"], (
+            f"{spec}: engine replay diverged from the adaptive simulator"
         )
         # The loop must actually run and swap: a controller that never
         # moves the thresholds is indistinguishable from static.

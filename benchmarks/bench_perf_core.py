@@ -14,7 +14,9 @@ analysis kernels) and checked for agreement before any speedup is reported:
 * **Multi-seed batch** — the replication protocol through the ``repro.api``
   façade, reported for trajectory only (no reference bar).
 
-Results land in ``BENCH_perf_core.json`` at the repo root.  Fidelity knobs
+Results land in ``BENCH_perf_core.json`` at the repo root, with the
+machine and code they were measured on (perfbench's ``environment()``
+block, shared through the ``bench_environment`` fixture).  Fidelity knobs
 (shared with the other benchmarks): ``REPRO_BENCH_SEEDS``,
 ``REPRO_BENCH_DURATION``; CI's reduced-fidelity smoke run scales the
 speedup bars down with ``REPRO_BENCH_SPEEDUP_SCALE`` because tiny runs are
@@ -179,9 +181,10 @@ def _batch_bench(config) -> dict:
     }
 
 
-def test_perf_core(bench_config):
+def test_perf_core(bench_config, bench_environment):
     document = {
         "schema": "repro-bench-perf-core-v1",
+        "environment": bench_environment,
         "fidelity": {
             "seeds": len(bench_config.seeds),
             "measured_duration": bench_config.measured_duration,

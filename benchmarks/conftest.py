@@ -15,7 +15,10 @@ Example full-fidelity run::
 
 from __future__ import annotations
 
+import importlib
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +42,15 @@ def bench_config() -> ReplicationConfig:
         warmup=10.0,
         seeds=tuple(range(_env_int("REPRO_BENCH_SEEDS", 3))),
     )
+
+
+@pytest.fixture(scope="session")
+def bench_environment() -> dict:
+    """The machine and code record of ``perfbench/run.py`` (CPUs, Python,
+    numpy, git SHA) that committed BENCH files of timings carry."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("run").environment()
+    finally:
+        sys.path.remove(perfbench)

@@ -670,11 +670,11 @@ def _serve_engine(args: argparse.Namespace, network, policy, scenario):
             alternate_reserve=args.reserve,
             queue_limit=4096 if args.queue_limit is None else args.queue_limit,
         ))
-    adaptation = (
-        None if args.adapt_interval is None
-        else AdaptationConfig(update_interval=args.adapt_interval)
-    )
     try:
+        adaptation = (
+            None if args.adapt_interval is None
+            else AdaptationConfig(update_interval=args.adapt_interval)
+        )
         state = NetworkState(network, policy, adaptation=adaptation)
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}")

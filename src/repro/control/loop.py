@@ -63,8 +63,8 @@ class ControlLoop:
         interval: float = 5.0,
         telemetry: MetricsRegistry | None = None,
     ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < interval < float("inf"):
+            raise ValueError("interval must be finite and positive")
         if state.adaptation is not None:
             raise ValueError(
                 "a ControlLoop and threshold adaptation cannot share one "

@@ -9,13 +9,13 @@ in :mod:`repro.control`: per workload it compares four arms on common
 random numbers —
 
 * **static** — the paper's offline ``r^k`` (Equation 15 from the nominal
-  matrix), frozen; evaluated through the batch kernel;
+  matrix), frozen;
 * **ewma** — the EXP-ADV recompute loop
-  (:class:`~repro.routing.adaptive.AdaptiveProtectionSimulator`).  Its
-  threshold trajectory is piecewise-constant, so each run's schedule is
-  re-evaluated through the batch kernel's ``threshold_schedule`` support
-  and asserted bit-identical to the scalar loop — the study itself
-  guards the kernel;
+  (:class:`~repro.routing.adaptive.AdaptiveProtectionSimulator`).  Every
+  run is replayed through the serve engine under the arm's own
+  :class:`~repro.serve.state.AdaptationConfig`, and its counters and
+  threshold refreshes must match the simulator's bit for bit — the study
+  itself guards the simulator;
 * **online** — the :class:`repro.control.loop.ControlLoop` closed over a
   live :class:`~repro.serve.engine.RequestEngine`: a volatility-gated
   shrinkage estimator anchored to the provisioned matrix feeding
@@ -40,9 +40,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..routing.adaptive import AdaptiveProtectionSimulator
-from ..routing.alternate import ControlledAlternateRouting, LengthAdaptiveControlledRouting
-from ..sim.batch import simulate_batch
+from ..routing.alternate import (
+    LengthAdaptiveControlledRouting,
+    UncontrolledAlternateRouting,
+)
 from ..sim.metrics import aggregate
+from ..sim.simulator import simulate
 from ..traffic.demand import primary_link_loads
 from ..traffic.matrix import TrafficMatrix
 from .runner import PAPER_CONFIG, ReplicationConfig
@@ -100,6 +103,35 @@ def hindsight_matrix(
     return TrafficMatrix(array)
 
 
+def _blocking(network, policy, traces, warmup) -> list[float]:
+    """Network blocking of ``policy`` on each trace, one simulation each."""
+    return [
+        simulate(network, policy, trace, warmup).network_blocking
+        for trace in traces
+    ]
+
+
+def _engine_matches(network, policy, adaptive, result) -> bool:
+    """Whether the serve engine, replaying ``adaptive``'s trace under its
+    :class:`AdaptationConfig`, counts and refreshes exactly as it did."""
+    from ..serve.engine import RequestEngine
+    from ..serve.loadgen import replay_trace
+    from ..serve.state import NetworkState
+
+    def outcome(run, refreshes) -> tuple:
+        return (
+            run.offered.tolist(), run.blocked.tolist(),
+            run.primary_carried, run.alternate_carried,
+            [(r.time, r.estimated_loads.tolist(), r.protection_levels.tolist())
+             for r in refreshes],
+        )
+
+    state = NetworkState(network, policy, adaptation=adaptive.config)
+    engine = RequestEngine(network, policy, state=state)
+    oracle = replay_trace(engine, adaptive.trace, adaptive.warmup).result
+    return outcome(oracle, state.refreshes) == outcome(result, adaptive.updates)
+
+
 def _online_run(network, table, traffic, policy, trace, warmup, controller, interval):
     """One closed-loop engine replay; returns its result and the loop."""
     from ..control import make_control_loop
@@ -132,14 +164,12 @@ def control_loop_study(
     network = reference.network
     table = reference.path_table
     traffic = reference.traffic_matrix
-    capacities = network.capacities().astype(np.int64)
     nominal_loads = primary_link_loads(network, table, traffic)
     static_policy = reference.build_policy("controlled")
     online_policy = LengthAdaptiveControlledRouting(network, table, nominal_loads)
-    # The EWMA arm replays AdaptiveProtectionSimulator's exact policy
-    # structure (no splits) so its threshold schedule can be re-evaluated
-    # bit-for-bit through the batch kernel.
-    ewma_policy = ControlledAlternateRouting(network, table, nominal_loads)
+    # The engine replays the EWMA arm on the simulator's own policy
+    # structure; the adaptation installs every threshold.
+    ewma_policy = UncontrolledAlternateRouting(network, table)
 
     # The stationary control: what the static deployment blocks when the
     # demand actually is the matrix it was provisioned for.  The per-
@@ -148,12 +178,9 @@ def control_loop_study(
     stationary_traces = [
         reference.make_trace(config.duration, seed) for seed in config.seeds
     ]
-    stationary_stat = aggregate([
-        r.network_blocking
-        for r in simulate_batch(
-            network, static_policy, stationary_traces, config.warmup
-        )
-    ])
+    stationary_stat = aggregate(
+        _blocking(network, static_policy, stationary_traces, config.warmup)
+    )
 
     results: dict[str, dict] = {}
     for spec in workloads:
@@ -163,21 +190,19 @@ def control_loop_study(
             scenario.make_trace(config.duration, seed) for seed in config.seeds
         ]
 
-        static_runs = simulate_batch(network, static_policy, traces, config.warmup)
-        static_blocking = [r.network_blocking for r in static_runs]
+        static_blocking = _blocking(network, static_policy, traces, config.warmup)
 
         averaged = hindsight_matrix(traffic, workload, config.duration)
         hindsight_policy = LengthAdaptiveControlledRouting(
             network, table, primary_link_loads(network, table, averaged)
         )
-        hindsight_runs = simulate_batch(
+        hindsight_blocking = _blocking(
             network, hindsight_policy, traces, config.warmup
         )
-        hindsight_blocking = [r.network_blocking for r in hindsight_runs]
 
         ewma_blocking = []
         ewma_updates = []
-        batch_matches_loop = True
+        engine_matches_loop = True
         for trace in traces:
             adaptive = AdaptiveProtectionSimulator(
                 network, table, trace,
@@ -187,22 +212,11 @@ def control_loop_study(
                 max_hops=max_hops,
                 initial_loads=nominal_loads,
             )
-            scalar = adaptive.run()
-            ewma_blocking.append(scalar.network_blocking)
+            result = adaptive.run()
+            ewma_blocking.append(result.network_blocking)
             ewma_updates.append(len(adaptive.updates) - 1)
-            # The adaptive loop *is* a piecewise-constant threshold
-            # trajectory; its batch replay must agree bit for bit.
-            schedule = [
-                (u.time, (capacities - u.protection_levels).astype(np.int64))
-                for u in adaptive.updates[1:]
-            ]
-            (replay,) = simulate_batch(
-                network, ewma_policy, [trace], config.warmup,
-                threshold_schedule=schedule,
-            )
-            batch_matches_loop = batch_matches_loop and bool(
-                np.array_equal(replay.blocked, scalar.blocked)
-                and replay.alternate_carried == scalar.alternate_carried
+            engine_matches_loop &= _engine_matches(
+                network, ewma_policy, adaptive, result
             )
 
         online_blocking = []
@@ -271,7 +285,7 @@ def control_loop_study(
             },
             "gap_closed": gap_closed,
             "ewma_updates_per_run": float(np.mean(ewma_updates)),
-            "ewma_batch_matches_loop": batch_matches_loop,
+            "ewma_engine_matches_loop": engine_matches_loop,
             "control_steps_per_run": float(np.mean(online_steps)),
             "clamp_violations": int(clamp_violations),
             "clamp_lifted": int(clamp_lifted),

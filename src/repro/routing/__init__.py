@@ -6,11 +6,7 @@ from .alternate import (
     UncontrolledAlternateRouting,
     per_link_max_hops,
 )
-from .adaptive import (
-    AdaptiveProtectionSimulator,
-    ThresholdUpdate,
-    simulate_adaptive,
-)
+from .adaptive import AdaptiveProtectionSimulator, simulate_adaptive
 from .base import RouteChoice, RoutingPolicy, compile_route_choices
 from .dar import DynamicAlternateRouting, PowerOfDAlternateRouting
 from .estimator import EwmaRateEstimator, estimate_loads_from_trace
@@ -31,7 +27,6 @@ __all__ = [
     "LengthAdaptiveControlledRouting",
     "per_link_max_hops",
     "AdaptiveProtectionSimulator",
-    "ThresholdUpdate",
     "simulate_adaptive",
     "LeastBusyAlternateRouting",
     "DynamicAlternateRouting",

@@ -9,31 +9,30 @@ Equation-15 protection levels on the fly — no oracle knowledge, and free
 tracking of nonstationary load (pair with
 :mod:`repro.traffic.profiles`).
 
-The run loop mirrors :class:`repro.sim.simulator.LossNetworkSimulator`'s
-threshold discipline with two additions: per-link set-up counters and the
-periodic threshold refresh — the serving plane's own
+A run has no admission loop of its own.  A refresh moves alternate bounds
+but never primaries, so each window's primary set-ups, and with them the
+whole threshold trajectory, follow from the trace alone.  The run first
+folds them through the serving plane's own refresh
 (:class:`repro.serve.state.NetworkState` with an
-:class:`~repro.serve.state.AdaptationConfig`), whose refreshed route table
-the loop then admits from.
+:class:`~repro.serve.state.AdaptationConfig`), collecting each refreshed
+route table with the first call it admits, then replays the trace once
+through :class:`repro.sim.simulator.LossNetworkSimulator`'s fast loop over
+that schedule.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from ..serve.state import AdaptationConfig, NetworkState, ThresholdRefresh
 from ..sim.metrics import SimulationResult
+from ..sim.simulator import LossNetworkSimulator
 from ..sim.trace import ArrivalTrace
 from ..topology.graph import Network
 from ..topology.paths import PathTable
 from .alternate import UncontrolledAlternateRouting
 
-__all__ = ["AdaptiveProtectionSimulator", "ThresholdUpdate", "simulate_adaptive"]
-
-#: One protection refresh: the time and the per-link levels adopted.
-ThresholdUpdate = ThresholdRefresh
+__all__ = ["AdaptiveProtectionSimulator", "simulate_adaptive"]
 
 
 class AdaptiveProtectionSimulator:
@@ -77,95 +76,38 @@ class AdaptiveProtectionSimulator:
             initial_loads=initial_loads,
         )
         self._policy = UncontrolledAlternateRouting(network, table)
-        self.updates: list[ThresholdUpdate] = []
+        self.updates: list[ThresholdRefresh] = []
 
     def run(self) -> SimulationResult:
         trace = self.trace
-        network = self.network
-        capacities = [int(c) for c in network.capacities()]
-        num_links = network.num_links
         num_pairs = len(trace.od_pairs)
-        state = NetworkState(network, self._policy, adaptation=self.config)
+        state = NetworkState(self.network, self._policy, adaptation=self.config)
         self.updates = state.refreshes
-        route_choice, __ = state.table.by_pair(trace.od_pairs)
-
-        times = trace.times.tolist()
-        od_index = trace.od_index.tolist()
-        holding = trace.holding_times.tolist()
-        warmup = self.warmup
-        setup_counts = [0] * num_links
-        next_update = state.next_refresh
-
-        occupancy = [0] * num_links
-        departures: list[tuple[float, tuple[int, ...]]] = []
-        offered = [0] * num_pairs
-        blocked = [0] * num_pairs
-        primary_carried = 0
-        alternate_carried = 0
-
-        heap_push = heapq.heappush
-        heap_pop = heapq.heappop
-        for call in range(len(times)):
-            now = times[call]
-            if now >= next_update:
-                state.setup_counts[:] = setup_counts
-                state.maybe_refresh(now)
-                setup_counts = [0] * num_links
-                next_update = state.next_refresh
-                route_choice, __ = state.table.by_pair(trace.od_pairs)
-            while departures and departures[0][0] <= now:
-                __, path = heap_pop(departures)
-                for link in path:
-                    occupancy[link] -= 1
-            pair = od_index[call]
-            counted = now >= warmup
-            if counted:
-                offered[pair] += 1
-            chain = route_choice[pair]
-            if chain is None:
-                if counted:
-                    blocked[pair] += 1
-                continue
-            primary, alternates = chain
-            # The primary set-up packet passes every primary link, admitted
-            # or not — that is what the links measure.
-            for link in primary:
-                setup_counts[link] += 1
-            for link in primary:
-                if occupancy[link] >= capacities[link]:
-                    break
-            else:
-                for link in primary:
-                    occupancy[link] += 1
-                heap_push(departures, (now + holding[call], primary))
-                if counted:
-                    primary_carried += 1
-                continue
-            for alt, bounds in alternates:
-                for link in alt:
-                    if occupancy[link] >= bounds[link]:
-                        break
-                else:
-                    for link in alt:
-                        occupancy[link] += 1
-                    heap_push(departures, (now + holding[call], alt))
-                    if counted:
-                        alternate_carried += 1
-                    break
-            else:
-                if counted:
-                    blocked[pair] += 1
-
-        return SimulationResult(
-            od_pairs=trace.od_pairs,
-            offered=np.asarray(offered, dtype=np.int64),
-            blocked=np.asarray(blocked, dtype=np.int64),
-            primary_carried=primary_carried,
-            alternate_carried=alternate_carried,
-            warmup=warmup,
-            duration=trace.duration,
-            seed=trace.seed,
+        # crossings[p, k]: how often pair p's primary set-up passes link k
+        # (the primaries, unlike the bounds, never change between windows).
+        crossings = np.zeros((num_pairs, self.network.num_links), dtype=np.int64)
+        for pair, chain in enumerate(state.table.by_pair(trace.od_pairs)[0]):
+            if chain is not None:
+                np.add.at(crossings[pair], list(chain[0]), 1)
+        # The first arrival at or after each window boundary folds the
+        # window in; its own set-up already belongs to the next window.
+        schedule = [(0, state.table)]
+        window_start = 0
+        while True:
+            first = int(np.searchsorted(trace.times, state.next_refresh))
+            if first == trace.num_calls:
+                break
+            setups = np.bincount(
+                trace.od_index[window_start:first], minlength=num_pairs
+            )
+            state.setup_counts[:] = setups @ crossings
+            state.maybe_refresh(float(trace.times[first]))
+            schedule.append((first, state.table))
+            window_start = first
+        simulator = LossNetworkSimulator(
+            self.network, self._policy, trace, self.warmup
         )
+        return simulator._run_fast(schedule)
 
 
 def simulate_adaptive(
@@ -173,7 +115,7 @@ def simulate_adaptive(
     table: PathTable,
     trace: ArrivalTrace,
     **kwargs,
-) -> tuple[SimulationResult, list[ThresholdUpdate]]:
+) -> tuple[SimulationResult, list[ThresholdRefresh]]:
     """Run an :class:`AdaptiveProtectionSimulator`; returns result + updates."""
     simulator = AdaptiveProtectionSimulator(network, table, trace, **kwargs)
     result = simulator.run()

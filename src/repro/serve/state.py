@@ -88,8 +88,8 @@ class AdaptationConfig:
     initial_loads: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
+        if not 0 < self.update_interval < float("inf"):
+            raise ValueError("update_interval must be finite and positive")
         if not 0 < self.ewma_weight <= 1:
             raise ValueError("ewma_weight must lie in (0, 1]")
         if self.max_hops < 1:

@@ -40,7 +40,7 @@ names the reason.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,19 +65,13 @@ _CHUNK = 2048  # epochs whose primary tables are gathered per chunk
 
 
 def batch_ineligibility(
-    policy: RoutingPolicy,
-    traces: Sequence[ArrivalTrace],
-    threshold_schedule: Sequence[tuple] | None = None,
+    policy: RoutingPolicy, traces: Sequence[ArrivalTrace]
 ) -> str | None:
     """Why the batch kernel cannot run ``(policy, traces)``, or None if it can.
 
     The scheduler layers use this to decide between one kernel invocation and
     the per-seed fallback; :class:`BatchSimulator` raises it as the error
     message when constructed with an inexpressible configuration.
-
-    ``threshold_schedule`` is the optional list of mid-run threshold
-    updates (see :class:`BatchSimulator`); piecewise-constant thresholds
-    are expressible only for the deterministic-alternate disciplines.
     """
     if not traces:
         return "no traces to simulate"
@@ -92,23 +86,6 @@ def batch_ineligibility(
             return f"policy {policy.name!r} lacks a route_draws stream"
         if any(entry[0] == "multi" for entry in table.routes.values()):
             return "random-alternate policies must be single-choice per pair"
-        if threshold_schedule:
-            return (
-                "mid-run threshold updates require the 'threshold' or "
-                "'length-threshold' discipline"
-            )
-    if threshold_schedule:
-        last = 0.0
-        for item in threshold_schedule:
-            if len(item) != 2:
-                return "threshold_schedule entries must be (time, thresholds)"
-            when = float(item[0])
-            if not when > last:
-                return (
-                    "threshold_schedule times must be positive and strictly "
-                    "increasing"
-                )
-            last = when
     od_pairs = traces[0].od_pairs
     for trace in traces:
         if trace.bandwidths is not None:
@@ -135,10 +112,9 @@ class BatchSimulator:
         policy: RoutingPolicy,
         traces: Sequence[ArrivalTrace],
         warmup: float = 10.0,
-        threshold_schedule: Sequence[tuple] | None = None,
     ):
         traces = list(traces)
-        reason = batch_ineligibility(policy, traces, threshold_schedule)
+        reason = batch_ineligibility(policy, traces)
         if reason is not None:
             raise ValueError(f"batch kernel cannot run this configuration: {reason}")
         for trace in traces:
@@ -153,11 +129,6 @@ class BatchSimulator:
         self.policy = policy
         self.traces = traces
         self.warmup = float(warmup)
-        self.threshold_schedule = (
-            [(float(t), thr) for t, thr in threshold_schedule]
-            if threshold_schedule
-            else None
-        )
         self._compile_policy()
         self._pack_traces()
 
@@ -165,7 +136,7 @@ class BatchSimulator:
 
     def _compile_policy(self) -> None:
         """Intern every path of the policy's route table once; build the
-        flat entry tables and one per-path bound table per schedule segment.
+        flat entry tables and the per-path bound table.
         """
         table = RouteTable(self.policy)
         num_links = self.network.num_links
@@ -229,31 +200,19 @@ class BatchSimulator:
             if alts:
                 entry_alt_pids[entry, : len(alts)] = alts
 
-        # Per-path alternate bounds, one (paths, width) table per schedule
-        # segment.  Segment 0 is the policy's own table; each
-        # ``threshold_schedule`` entry swaps the previous segment's table
-        # exactly as ``NetworkState.hot_swap`` would.  Alternates read the
-        # row their table binds them to; every other path (primary-only,
-        # infeasible, the blocked-call row) keeps plain capacity.
+        # Per-path alternate bounds: alternates read the row the table binds
+        # them to; every other path (primary-only, infeasible, the
+        # blocked-call row) keeps plain capacity.
         alternate_pids: dict[int, list[int]] = {}
         for pid in sorted({pid for alts in entry_alts for pid in alts}):
             alternate_pids.setdefault(table.key_of(paths[pid]), []).append(pid)
-        segments = [table]
-        for __, spec in self.threshold_schedule or ():
-            form = (
-                "length_thresholds" if isinstance(spec, Mapping)
-                else "alt_thresholds"
-            )
-            segments.append(segments[-1].replaced(**{form: spec})[0])
-        stack = np.empty((len(segments), num_paths + 1, alt_width), dtype=np.int32)
-        for si, segment in enumerate(segments):
-            stack[si] = cap_row[path_links]
-            for key, pids in alternate_pids.items():
-                bounds = np.concatenate([segment.rows[key], [int(_HUGE), 0]])
-                stack[si, pids] = bounds.astype(np.int32)[path_links[pids]]
+        path_thr = cap_row[path_links]
+        for key, pids in alternate_pids.items():
+            bounds = np.concatenate([table.rows[key], [int(_HUGE), 0]])
+            path_thr[pids] = bounds.astype(np.int32)[path_links[pids]]
         self._free_link = free
         self._path_links = path_links
-        self._path_thr = stack
+        self._path_thr = path_thr
         self._prim_links = path_links[:, :prim_width].copy()
         self._prim_cap = cap_row[self._prim_links]
         self._entry_primary = np.asarray(entry_primary, dtype=np.int32)
@@ -264,11 +223,6 @@ class BatchSimulator:
             [len(alts) for alts in entry_alts], dtype=np.int64
         )
         self._num_pairs = len(od_pairs)
-        self._switch_times = (
-            np.array([t for t, __ in self.threshold_schedule], dtype=float)
-            if self.threshold_schedule
-            else None
-        )
 
     # ---------------------------------------------------------------- pack
 
@@ -326,21 +280,6 @@ class BatchSimulator:
         self._call_entry = call_entry
         self._num_epochs = num_epochs
 
-        # Piecewise-constant thresholds: each arrival's schedule segment,
-        # epoch-major like everything else the kernel gathers.  ``side=
-        # "right"`` makes an arrival exactly at a switch time see the new
-        # thresholds, matching the serving engine's ``now >= t`` swap.
-        if self._switch_times is not None:
-            seg_stage = np.zeros((num_seeds, num_epochs), dtype=np.int32)
-            for s, trace in enumerate(traces):
-                n = trace.num_calls
-                seg_stage[s, :n] = np.searchsorted(
-                    self._switch_times, trace.times, side="right"
-                )
-            self._seg = np.ascontiguousarray(seg_stage.T)
-        else:
-            self._seg = None
-
         discipline = self.policy.discipline
         if discipline == "dar":
             stage[:] = 0
@@ -376,9 +315,7 @@ class BatchSimulator:
 
         discipline = self.policy.discipline
         path_links = self._path_links
-        path_thr = self._path_thr  # (segments, paths + 1, width)
-        path_thr0 = path_thr[0]
-        seg = self._seg
+        path_thr = self._path_thr  # (paths + 1, width)
         prim_links = self._prim_links
         prim_cap = self._prim_cap
         entry_primary = self._entry_primary
@@ -423,11 +360,7 @@ class BatchSimulator:
                 if discipline in ("threshold", "length-threshold"):
                     alts = entry_alts[ent_f]
                     cand_rows = path_links[alts] + off_f[:, None, None]
-                    if seg is None:
-                        thr = path_thr0[alts]
-                    else:
-                        thr = path_thr[seg[k, failed][:, None], alts]
-                    feas = (occ[cand_rows] < thr).all(axis=2)
+                    feas = (occ[cand_rows] < path_thr[alts]).all(axis=2)
                     first = feas.argmax(axis=1)
                     picked = np.arange(failed.size), first
                     apid = np.where(feas[picked], alts[picked], np.int32(-1))
@@ -436,7 +369,7 @@ class BatchSimulator:
                     idx = sticky[failed, ent_f]
                     apid = entry_alts[ent_f, idx]
                     alt_rows = path_links[apid] + off_f[:, None]
-                    feas = (occ[alt_rows] < path_thr0[apid]).all(axis=1)
+                    feas = (occ[alt_rows] < path_thr[apid]).all(axis=1)
                     bad = np.flatnonzero(~feas)
                     if bad.size:
                         sticky[failed[bad], ent_f[bad]] = resample[k, failed[bad]]
@@ -446,7 +379,7 @@ class BatchSimulator:
                     picks = candidates[k, failed]
                     apidc = entry_alts[ent_f[:, None], picks]
                     cand_rows = path_links[apidc] + off_f[:, None, None]
-                    score = (path_thr0[apidc] - occ[cand_rows]).min(axis=2)
+                    score = (path_thr[apidc] - occ[cand_rows]).min(axis=2)
                     best = np.arange(failed.size), score.argmax(axis=1)
                     apid = np.where(score[best] >= 1, apidc[best], np.int32(-1))
                     alt_rows = path_links[apid] + off_f[:, None]
@@ -505,13 +438,10 @@ def simulate_batch(
     policy: RoutingPolicy,
     traces: Sequence[ArrivalTrace],
     warmup: float = 10.0,
-    threshold_schedule: Sequence[tuple] | None = None,
 ) -> list[SimulationResult]:
     """Convenience wrapper: one :class:`BatchSimulator` pass over ``traces``.
 
     Raises :class:`ValueError` (naming the :func:`batch_ineligibility` reason)
     when the configuration needs a per-seed loop instead.
     """
-    return BatchSimulator(
-        network, policy, traces, warmup, threshold_schedule=threshold_schedule
-    ).run()
+    return BatchSimulator(network, policy, traces, warmup).run()

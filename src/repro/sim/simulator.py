@@ -53,6 +53,7 @@ measure.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -197,13 +198,21 @@ class LossNetworkSimulator:
             and batch_ineligibility(self.policy, [self.trace]) is None
         )
 
-    def _run_fast(self) -> SimulationResult:
+    def _run_fast(
+        self, schedule: Sequence[tuple[int, RouteTable]] | None = None
+    ) -> SimulationResult:
         """Specialized hot loop; see :meth:`run` for the eligibility rules.
 
-        The trace is consumed in two phases split at the warmup boundary
+        The trace is consumed in phases split at the warmup boundary
         (arrival times are non-decreasing), so the measured loop carries no
         per-call warmup test and the warmup loop no counters; ``offered`` is
         a single ``bincount`` over the measured arrivals.
+
+        ``schedule`` is a list of ``(first call, RouteTable)`` segments, the
+        first starting at call 0: each table admits from its first call up
+        to the next segment's, and the phases split at every segment start
+        too.  Without it the policy's own table admits every call.  The
+        adaptive simulator passes its refresh trajectory here.
 
         There is no departure heap.  Every candidate departure time is known
         up front (``times + holding_times``), so one stable argsort yields
@@ -246,8 +255,13 @@ class LossNetworkSimulator:
         primary_carried = 0
         alternate_carried = 0
 
-        single_entry, multi = RouteTable(self.policy).by_pair(trace.od_pairs)
-        has_multi = any(entry is not None for entry in multi)
+        if schedule is None:
+            schedule = [(0, RouteTable(self.policy))]
+        starts = [first for first, __ in schedule]
+        lookups = [table.by_pair(trace.od_pairs) for __, table in schedule]
+        has_multi = any(
+            entry is not None for __, multi in lookups for entry in multi
+        )
 
         warm_count = int(np.searchsorted(trace.times, warmup, side="left"))
         times = trace.times.tolist()
@@ -257,12 +271,11 @@ class LossNetworkSimulator:
 
         ptr = 0
         call_i = 0
-        for phase in (0, 1):
-            section = (
-                slice(0, warm_count) if phase == 0
-                else slice(warm_count, num_calls)
-            )
-            counted = phase == 1
+        cuts = sorted({warm_count, *starts})
+        for start, stop in zip(cuts, cuts[1:] + [num_calls]):
+            section = slice(start, stop)
+            counted = start >= warm_count
+            single_entry, multi = lookups[bisect_right(starts, start) - 1]
             if has_multi:
                 rows = zip(
                     times[section], od_index[section],

@@ -246,3 +246,75 @@ class TestAdaptiveProtectionSimulator:
         result, __ = simulate_adaptive(quad_network, quad_table, trace, warmup=5.0)
         carried = result.primary_carried + result.alternate_carried
         assert carried + result.total_blocked == result.total_offered
+
+
+@pytest.fixture(scope="module", params=["stationary", "diurnal", "adversarial:0"])
+def nsfnet_h6_scenario(request):
+    """NSFNet H=6 under nominal traffic and one workload, shared by seeds."""
+    from repro.api import Scenario
+
+    return Scenario(
+        topology="nsfnet", traffic="nominal", max_hops=6, workload=request.param
+    )
+
+
+class TestEngineReplayOracle:
+    """The adaptive simulator equals the serve engine replaying its
+    adaptation: one :class:`NetworkState` under the simulator's own
+    :class:`AdaptationConfig`, fed the trace's request stream."""
+
+    @staticmethod
+    def _assert_matches_engine(network, table, trace, warmup, **kwargs):
+        from repro.routing.alternate import UncontrolledAlternateRouting
+        from repro.serve.engine import RequestEngine
+        from repro.serve.loadgen import aggregate_decisions, replay_trace
+        from repro.serve.state import NetworkState
+
+        sim = AdaptiveProtectionSimulator(
+            network, table, trace, warmup=warmup, **kwargs
+        )
+        result = sim.run()
+        policy = UncontrolledAlternateRouting(network, table)
+        state = NetworkState(network, policy, adaptation=sim.config)
+        engine = RequestEngine(network, policy, state=state)
+        report = replay_trace(engine, trace, warmup)
+        oracle = aggregate_decisions(trace, report.decisions, warmup)
+        assert np.array_equal(result.offered, oracle.offered)
+        assert np.array_equal(result.blocked, oracle.blocked)
+        assert result.primary_carried == oracle.primary_carried
+        assert result.alternate_carried == oracle.alternate_carried
+        assert len(sim.updates) == len(state.refreshes)
+        for ours, theirs in zip(sim.updates, state.refreshes):
+            assert ours.time == theirs.time
+            assert np.array_equal(ours.estimated_loads, theirs.estimated_loads)
+            assert np.array_equal(ours.protection_levels, theirs.protection_levels)
+        return sim
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nsfnet_h6_workloads(self, nsfnet_h6_scenario, seed):
+        scenario = nsfnet_h6_scenario
+        network, table = scenario.network, scenario.path_table
+        loads = primary_link_loads(network, table, scenario.traffic_matrix)
+        sim = self._assert_matches_engine(
+            network, table, scenario.make_trace(40.0, seed), 10.0,
+            update_interval=5.0, initial_loads=loads,
+        )
+        assert len(sim.updates) == 8
+
+    def test_cold_start_off_grid_interval(self):
+        network = fully_connected(4, 20)
+        trace = generate_trace(uniform_traffic(4, 18.0), 30.0, 4)
+        self._assert_matches_engine(
+            network, build_path_table(network), trace, 5.0, update_interval=0.7
+        )
+
+    def test_windows_without_arrivals(self):
+        # 1 Erlang per pair against 0.05-unit windows: most windows see no
+        # arrival, so single arrivals fire runs of back-to-back refreshes.
+        network = fully_connected(4, 100)
+        trace = generate_trace(uniform_traffic(4, 1.0), 30.0, 0)
+        sim = self._assert_matches_engine(
+            network, build_path_table(network), trace, 5.0, update_interval=0.05
+        )
+        assert trace.num_calls == 345
+        assert len(sim.updates) == 600

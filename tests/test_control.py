@@ -10,12 +10,12 @@ Three layers of guarantee, mirroring the subsystem's design:
 * **determinism** — the loop is driven on request time, so a replayed
   trace yields a bit-stable ``decisions_sha256`` (what the CI smoke job
   asserts across interpreter runs);
-* **swap equivalence** — the hot-swap path is proven safe by oracles:
-  the batch kernel's ``threshold_schedule`` support must match an engine
-  replay with ``NetworkState.hot_swap`` at the same times, and an
-  ordered-mode cluster replay with ``ClusterRouter.hot_swap`` must be
+* **swap equivalence** — the hot-swap path is proven safe by an oracle:
+  an ordered-mode cluster replay with ``ClusterRouter.hot_swap`` must be
   bit-identical to the single-process engine given the same swap
-  schedule (the ISSUE's acceptance criterion).
+  schedule.  The fast loop's piecewise-constant thresholds have their own
+  engine oracle in ``tests/test_adaptive.py``: the adaptive simulator
+  must match an engine replaying the same adaptation.
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ from repro.control import (
     make_control_loop,
 )
 from repro.core.protection import min_protection_levels
-from repro.routing.alternate import (
-    ControlledAlternateRouting,
-    LengthAdaptiveControlledRouting,
-)
+from repro.routing.alternate import ControlledAlternateRouting
 from repro.serve import ClusterConfig, ClusterRouter, RequestEngine
 from repro.serve.loadgen import aggregate_decisions, trace_requests
 from repro.serve.shard import ShardWorker
 from repro.serve.state import NetworkState
-from repro.sim.batch import batch_ineligibility, simulate_batch
 from repro.sim.trace import generate_trace
 from repro.traffic.demand import primary_link_loads
 from repro.traffic.generators import uniform_traffic
@@ -271,6 +267,19 @@ class TestControlLoop:
         with pytest.raises(ValueError, match="adaptation"):
             make_control_loop(state, quad_table, traffic)
 
+    @pytest.mark.parametrize("interval", [0.0, float("nan"), float("inf")])
+    def test_loop_rejects_non_finite_interval(
+        self, quad_network, quad_table, interval
+    ):
+        # A NaN or infinite interval would pass a bare `<= 0` test and then
+        # never step: control silently off.
+        traffic = uniform_traffic(quad_network.num_nodes, 95.0)
+        loads = primary_link_loads(quad_network, quad_table, traffic)
+        policy = ControlledAlternateRouting(quad_network, quad_table, loads)
+        state = NetworkState(quad_network, policy)
+        with pytest.raises(ValueError, match="interval"):
+            make_control_loop(state, quad_table, traffic, interval=interval)
+
     def test_factory_rejects_unknown_controller(
         self, quad_network, quad_table
     ):
@@ -316,132 +325,6 @@ class TestHotSwapState:
         with pytest.raises(ValueError, match="capacity"):
             state.hot_swap(alt_thresholds=ok + state.capacities)
         assert state.policy_epoch == 0  # nothing above landed
-
-
-class TestBatchScheduleEquivalence:
-    """The batch kernel's piecewise-constant thresholds vs hot_swap."""
-
-    def _engine_replay_with_swaps(self, network, policy, trace, schedule):
-        """Engine oracle: decide in segments, hot_swap at the boundaries."""
-        state = NetworkState(network, policy)
-        engine = RequestEngine(network, policy, state=state)
-        times = [t for t, __ in schedule]
-        chunks = [[] for __ in range(len(schedule) + 1)]
-        for request in trace_requests(trace):
-            # Segment via `now >= t` — the same convention the kernel
-            # compiles with searchsorted(..., side="right").
-            chunks[int(np.searchsorted(times, request.time, side="right"))
-                   ].append(request)
-        decisions = []
-        for k, chunk in enumerate(chunks):
-            if k > 0:
-                when, spec = schedule[k - 1]
-                if isinstance(spec, dict):
-                    state.hot_swap(length_thresholds=spec, now=when)
-                else:
-                    state.hot_swap(alt_thresholds=spec, now=when)
-            decisions.extend(engine.decide_batch(chunk))
-        return aggregate_decisions(trace, decisions, warmup=5.0), state
-
-    def test_scalar_schedule_matches_engine_hot_swap(
-        self, quad_network, quad_table
-    ):
-        traffic = uniform_traffic(quad_network.num_nodes, 95.0)
-        loads = primary_link_loads(quad_network, quad_table, traffic)
-        policy = ControlledAlternateRouting(quad_network, quad_table, loads)
-        trace = generate_trace(traffic, duration=20.0, seed=3)
-        base = NetworkState(quad_network, policy).alt_thresholds
-        caps = quad_network.capacities().astype(np.int64)
-        schedule = [
-            (8.0, np.clip(base - 2, 0, None)),
-            (14.0, np.minimum(base + 1, caps)),
-        ]
-        oracle, state = self._engine_replay_with_swaps(
-            quad_network, policy, trace, schedule
-        )
-        assert state.policy_epoch == 2
-        (batch,) = simulate_batch(
-            quad_network, policy, [trace], 5.0, threshold_schedule=schedule
-        )
-        assert np.array_equal(batch.offered, oracle.offered)
-        assert np.array_equal(batch.blocked, oracle.blocked)
-        assert batch.primary_carried == oracle.primary_carried
-        assert batch.alternate_carried == oracle.alternate_carried
-
-    def test_length_schedule_matches_engine_hot_swap(
-        self, quad_network, quad_table
-    ):
-        traffic = uniform_traffic(quad_network.num_nodes, 95.0)
-        loads = primary_link_loads(quad_network, quad_table, traffic)
-        policy = LengthAdaptiveControlledRouting(
-            quad_network, quad_table, loads
-        )
-        trace = generate_trace(traffic, duration=20.0, seed=9)
-        tables = NetworkState(quad_network, policy).length_thresholds
-        schedule = [
-            (7.0, {h: np.clip(row - 2, 0, None) for h, row in tables.items()}),
-            (13.0, {h: row.copy() for h, row in tables.items()}),
-        ]
-        oracle, state = self._engine_replay_with_swaps(
-            quad_network, policy, trace, schedule
-        )
-        assert state.policy_epoch == 2
-        (batch,) = simulate_batch(
-            quad_network, policy, [trace], 5.0, threshold_schedule=schedule
-        )
-        assert np.array_equal(batch.blocked, oracle.blocked)
-        assert batch.alternate_carried == oracle.alternate_carried
-
-    def test_identity_schedule_changes_nothing(self, quad_network, quad_table):
-        traffic = uniform_traffic(quad_network.num_nodes, 95.0)
-        loads = primary_link_loads(quad_network, quad_table, traffic)
-        policy = ControlledAlternateRouting(quad_network, quad_table, loads)
-        trace = generate_trace(traffic, duration=15.0, seed=11)
-        base = NetworkState(quad_network, policy).alt_thresholds
-        (plain,) = simulate_batch(quad_network, policy, [trace], 5.0)
-        (scheduled,) = simulate_batch(
-            quad_network, policy, [trace], 5.0,
-            threshold_schedule=[(6.0, base.copy())],
-        )
-        assert np.array_equal(plain.blocked, scheduled.blocked)
-        assert plain.alternate_carried == scheduled.alternate_carried
-
-    def test_ineligibility_names_the_schedule(self, quad_network, quad_table):
-        traffic = uniform_traffic(quad_network.num_nodes, 95.0)
-        loads = primary_link_loads(quad_network, quad_table, traffic)
-        policy = ControlledAlternateRouting(quad_network, quad_table, loads)
-        trace = generate_trace(traffic, duration=10.0, seed=0)
-        thr = NetworkState(quad_network, policy).alt_thresholds
-        assert batch_ineligibility(policy, [trace]) is None
-        assert batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0, thr)]
-        ) is None
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0, thr), (5.0, thr)]
-        )
-        assert "strictly" in reason
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(0.0, thr)]
-        )
-        assert "positive" in reason
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0,)]
-        )
-        assert "(time, thresholds)" in reason
-
-    def test_random_alternate_policies_reject_schedules(
-        self, quad_network, quad_table
-    ):
-        from repro.routing.dar import DynamicAlternateRouting
-
-        policy = DynamicAlternateRouting(quad_network, quad_table)
-        traffic = uniform_traffic(quad_network.num_nodes, 95.0)
-        trace = generate_trace(traffic, duration=10.0, seed=0)
-        thr = np.zeros(quad_network.num_links, dtype=np.int64)
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0, thr)]
-        )
-        assert "mid-run threshold updates" in reason
 
 
 class TestClusterSwapEquivalence:

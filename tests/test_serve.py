@@ -630,8 +630,9 @@ class TestAdaptation:
             NetworkState(nsfnet, policy, adaptation=AdaptationConfig())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdaptationConfig(update_interval=0.0)
+        for interval in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="update_interval"):
+                AdaptationConfig(update_interval=interval)
         with pytest.raises(ValueError):
             AdaptationConfig(ewma_weight=0.0)
 
