@@ -1,8 +1,9 @@
 """PERF-CORE — timing trajectory for the vectorized analysis/simulation core.
 
 Three workloads, each timed against the retained unvectorized reference
-path (``backend="reference"`` for the simulator, ``reference=True`` for the
-analysis kernels) and checked for agreement before any speedup is reported:
+path (``backend="reference"`` for the simulator, the loop oracles in
+``tests/oracles/analysis.py`` for the analysis kernels) and checked for
+agreement before any speedup is reported:
 
 * **Erlang fixed point, NSFNet sweep** — the reduced-load approximation
   over a grid of load scales, cold caches.  Analysis agreement is numeric
@@ -47,6 +48,7 @@ from repro.topology.nsfnet import nsfnet_backbone
 from repro.topology.paths import build_path_table
 from repro.traffic.calibration import nsfnet_nominal_traffic
 from repro.traffic.demand import primary_link_loads
+from tests.oracles.analysis import erlang_fixed_point_reference
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _OUTPUT = _REPO_ROOT / "BENCH_perf_core.json"
@@ -78,17 +80,15 @@ def _fixed_point_bench() -> dict:
     traffic = nsfnet_nominal_traffic()
     scales = np.linspace(0.5, 1.5, 20)
 
-    def sweep(reference: bool) -> list[float]:
+    def sweep(solve) -> list[float]:
         _clear_analysis_caches()
         return [
-            erlang_fixed_point(
-                network, table, traffic.scaled(float(s)), reference=reference
-            ).network_blocking
+            solve(network, table, traffic.scaled(float(s))).network_blocking
             for s in scales
         ]
 
-    fast = sweep(reference=False)
-    ref = sweep(reference=True)
+    fast = sweep(erlang_fixed_point)
+    ref = sweep(erlang_fixed_point_reference)
     worst = max(
         abs(f - r) / max(abs(r), 1e-30) for f, r in zip(fast, ref)
     )
@@ -96,8 +96,8 @@ def _fixed_point_bench() -> dict:
 
     timings = _interleaved_best(
         {
-            "reference": lambda: sweep(reference=True),
-            "vectorized": lambda: sweep(reference=False),
+            "reference": lambda: sweep(erlang_fixed_point_reference),
+            "vectorized": lambda: sweep(erlang_fixed_point),
         },
         rounds=3,
     )

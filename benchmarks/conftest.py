@@ -24,6 +24,12 @@ import pytest
 
 from repro.experiments.runner import ReplicationConfig
 
+_REPO = Path(__file__).resolve().parent.parent
+# bench_perf_core.py times the analysis kernels against the loop oracles in
+# tests/oracles, which import as ``tests.oracles`` from the repository root.
+if str(_REPO) not in sys.path:
+    sys.path.insert(0, str(_REPO))
+
 
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
@@ -48,7 +54,7 @@ def bench_config() -> ReplicationConfig:
 def bench_environment() -> dict:
     """The machine and code record of ``perfbench/run.py`` (CPUs, Python,
     numpy, git SHA) that committed BENCH files of timings carry."""
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    perfbench = str(_REPO / "perfbench")
     sys.path.insert(0, perfbench)
     try:
         return importlib.import_module("run").environment()

@@ -26,18 +26,18 @@ dependent — by design; see the bistability module).  Setting every ``r`` to
 0 models uncontrolled alternate routing; an empty alternate table recovers
 the classical single-path fixed point.
 
-Two implementations exist.  The default vectorizes both halves of each
-sweep: primary and alternate routes are flattened once into link-index
-arrays (``np.multiply.reduceat`` for path products, ``np.bincount`` for the
-rate accumulations, a short stage loop to chain ``reach`` across each
-pair's ordered alternates), and the per-link birth-death chains are solved
-per capacity group in log space — one ``cumsum`` of log birth-rate ratios
-replaces ``num_links`` sequential chain solves, with a max-shift before
-exponentiating standing in for the reference's on-the-fly renormalization.
-The log-space solve reorders floating-point work, so results match the
-reference loops to ~1e-10 relative rather than bit for bit; pass
-``reference=True`` for the original implementation (the equivalence tests
-pin the tolerance, the perf benchmarks time the two against each other).
+Both halves of each sweep are vectorized: primary and alternate routes
+are flattened once into link-index arrays (``np.multiply.reduceat`` for
+path products, ``np.bincount`` for the rate accumulations, a short stage
+loop to chain ``reach`` across each pair's ordered alternates), and the
+per-link birth-death chains are solved per capacity group in log space —
+one ``cumsum`` of log birth-rate ratios replaces ``num_links`` sequential
+chain solves, with a max-shift before exponentiating standing in for the
+sequential solve's on-the-fly renormalization.  The log-space solve
+reorders floating-point work, so results match the original per-pair /
+per-link loops (kept as the oracle in ``tests/oracles/analysis.py``) to
+~1e-10 relative rather than bit for bit; the equivalence tests pin the
+tolerance.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.markov import link_chain
 from ..topology.graph import Network
 from ..topology.paths import PathTable
 from ..traffic.matrix import TrafficMatrix
@@ -109,14 +108,8 @@ def alternate_routing_fixed_point(
     damping: float = 0.3,
     tolerance: float = 1e-8,
     max_iterations: int = 2_000,
-    reference: bool = False,
 ) -> AlternateFixedPointResult:
-    """Iterate the two-tier reduced-load equations to a fixed point.
-
-    ``reference=True`` runs the original per-pair/per-link Python loops —
-    the equivalence oracle for the tests and the baseline the perf
-    benchmarks time against.
-    """
+    """Iterate the two-tier reduced-load equations to a fixed point."""
     if not 0 < damping <= 1:
         raise ValueError("damping must lie in (0, 1]")
     capacities = network.capacities()
@@ -125,10 +118,6 @@ def alternate_routing_fixed_point(
         raise ValueError("protection_levels must be per-link")
     if (levels < 0).any() or (levels > capacities).any():
         raise ValueError("protection levels must lie in [0, capacity]")
-    if reference:
-        return _alternate_fixed_point_reference(
-            network, table, traffic, levels, damping, tolerance, max_iterations
-        )
 
     demands = _resolve_routes(network, table, traffic)
     num_links = network.num_links
@@ -277,97 +266,3 @@ def alternate_routing_fixed_point(
         converged=converged,
     )
 
-
-def _alternate_fixed_point_reference(
-    network: Network,
-    table: PathTable,
-    traffic: TrafficMatrix,
-    levels: np.ndarray,
-    damping: float,
-    tolerance: float,
-    max_iterations: int,
-) -> AlternateFixedPointResult:
-    """The original per-pair/per-link loops, kept as the equivalence oracle."""
-    capacities = network.capacities()
-    demands = _resolve_routes(network, table, traffic)
-
-    num_links = network.num_links
-    full = np.zeros(num_links)       # E_l
-    protected = np.zeros(num_links)  # F_l
-    overflow = np.zeros(num_links)
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        # --- demand side: thinned primary rates and overflow attempt rates.
-        nu = np.zeros(num_links)
-        attempts = np.zeros(num_links)
-        for __, demand, primary_links, alternates in demands:
-            pass_primary = 1.0
-            for link in primary_links:
-                pass_primary *= 1.0 - full[link]
-            for link in primary_links:
-                own = 1.0 - full[link]
-                nu[link] += demand * (pass_primary / own if own > 0 else 0.0)
-            reach = demand * (1.0 - pass_primary)  # traffic entering tier 2
-            for alt in alternates:
-                accept = 1.0
-                for link in alt:
-                    accept *= 1.0 - protected[link]
-                for link in alt:
-                    own = 1.0 - protected[link]
-                    attempts[link] += reach * (accept / own if own > 0 else 0.0)
-                reach *= 1.0 - accept  # next alternate sees the failures
-        # --- link side: solve each protected chain.
-        new_full = np.empty(num_links)
-        new_protected = np.empty(num_links)
-        for link in range(num_links):
-            capacity = int(capacities[link])
-            if capacity == 0:
-                new_full[link] = 1.0
-                new_protected[link] = 1.0
-                continue
-            chain = link_chain(
-                float(nu[link]),
-                capacity,
-                int(levels[link]),
-                [float(attempts[link])] * capacity,
-            )
-            pi = chain.stationary_distribution()
-            new_full[link] = float(pi[capacity])
-            new_protected[link] = float(pi[capacity - int(levels[link]) :].sum())
-        step = max(
-            np.abs(new_full - full).max(), np.abs(new_protected - protected).max()
-        )
-        full = full + damping * (new_full - full)
-        protected = protected + damping * (new_protected - protected)
-        overflow = attempts
-        if step < tolerance:
-            converged = True
-            break
-
-    pair_blocking: dict[tuple[int, int], float] = {}
-    weighted = 0.0
-    total_demand = 0.0
-    for od, demand, primary_links, alternates in demands:
-        pass_primary = 1.0
-        for link in primary_links:
-            pass_primary *= 1.0 - full[link]
-        lost = 1.0 - pass_primary
-        for alt in alternates:
-            accept = 1.0
-            for link in alt:
-                accept *= 1.0 - protected[link]
-            lost *= 1.0 - accept
-        pair_blocking[od] = lost
-        weighted += demand * lost
-        total_demand += demand
-    return AlternateFixedPointResult(
-        full_probability=full,
-        protected_probability=protected,
-        overflow_rates=overflow,
-        pair_blocking=pair_blocking,
-        network_blocking=weighted / total_demand if total_demand else 0.0,
-        iterations=iterations,
-        converged=converged,
-    )

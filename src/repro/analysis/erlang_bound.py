@@ -16,8 +16,7 @@ restriction to single-node cuts is provided for larger networks.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,48 +75,25 @@ def cut_bound_term(
     return term
 
 
-def _proper_subsets(num_nodes: int) -> Iterator[frozenset[int]]:
-    """All proper non-empty node subsets, one representative per complement pair.
-
-    The bound expression is symmetric under complementation (it sums both
-    directions), so enumerating half the subsets suffices.
-    """
-    nodes = list(range(num_nodes))
-    for size in range(1, num_nodes // 2 + 1):
-        for combo in combinations(nodes, size):
-            if 2 * size == num_nodes and 0 not in combo:
-                continue  # complement already seen
-            yield frozenset(combo)
-
-
-def erlang_bound(
-    network: Network, traffic: TrafficMatrix, reference: bool = False
-) -> float:
+def erlang_bound(network: Network, traffic: TrafficMatrix) -> float:
     """Maximum of the cut bound over all cuts — the paper's Erlang Bound.
 
     A loose lower bound on the average network blocking of *any* routing
     scheme (it even allows re-packing).  Exhaustive over the ``2^(N-1) - 1``
     complement-distinct cuts; fine for the paper's 4- and 12-node networks.
 
-    The default evaluates cuts in vectorized blocks: each block's node
-    membership matrix turns the directional cut traffics into two matrix
-    products, crossing capacities into masked sums over the link arrays, and
-    the Erlang evaluations batch by capacity through the shared memoized
-    table.  ``reference=True`` enumerates cuts one
-    :func:`cut_bound_term` at a time — the equivalence oracle for tests and
-    the perf-benchmark baseline.  The two orderings of the Erlang sum agree
-    to ~1e-12 relative.
+    Cuts are evaluated in vectorized blocks: each block's node membership
+    matrix turns the directional cut traffics into two matrix products,
+    crossing capacities into masked sums over the link arrays, and the
+    Erlang evaluations batch by capacity through the shared memoized table.
+    This agrees with taking :func:`cut_bound_term` one cut at a time (the
+    oracle in ``tests/oracles/analysis.py``) to ~1e-12 relative.
     """
     if network.num_nodes > 22:
         raise ValueError(
             "exhaustive cut enumeration is impractical beyond ~22 nodes; "
             "use single_node_cut_bound"
         )
-    if reference:
-        best = 0.0
-        for cut in _proper_subsets(network.num_nodes):
-            best = max(best, cut_bound_term(network, traffic, cut))
-        return best
     total = traffic.total
     if total == 0.0:
         return 0.0

@@ -15,18 +15,17 @@ Also exposes the *unreduced* per-O-D estimate (no thinning) used when the
 paper says it feeds "the unreduced primary load intensities" to the
 Ott-Krishnan comparator.
 
-Two implementations exist.  The default sweeps the whole network per
-iteration with NumPy: paths are flattened into link-index arrays once (and
-memoized across calls, so load sweeps pay the path resolution once), path
-products come from ``np.multiply.reduceat``, thinned loads accumulate through
-``np.bincount``, and the Erlang update groups links by capacity and evaluates
-each group with :func:`repro.core.erlang.erlang_b_batch` through the shared
-memoized table (:data:`repro.core.erlang.shared_erlang_table`).  The batch
-kernel accumulates the Erlang sum in a different (vectorized) order than the
-scalar recursion, so the two implementations agree to ~1e-12 relative rather
-than bit for bit; pass ``reference=True`` to run the original loops (the
-perf benchmarks time one against the other, and the equivalence tests pin
-the tolerance).
+Each iteration sweeps the whole network with NumPy: paths are flattened
+into link-index arrays once (and memoized across calls, so load sweeps pay
+the path resolution once), path products come from ``np.multiply.reduceat``,
+thinned loads accumulate through ``np.bincount``, and the Erlang update
+groups links by capacity and evaluates each group with
+:func:`repro.core.erlang.erlang_b_batch` through the shared memoized table
+(:data:`repro.core.erlang.shared_erlang_table`).  The batch kernel
+accumulates the Erlang sum in a different (vectorized) order than the scalar
+recursion, so the result agrees with the original per-link loops (kept as
+the oracle in ``tests/oracles/analysis.py``) to ~1e-12 relative rather than
+bit for bit; the equivalence tests pin the tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.erlang import erlang_b, shared_erlang_table
+from ..core.erlang import shared_erlang_table
 from ..topology.graph import Network
 from ..topology.paths import PathTable
 from ..traffic.matrix import TrafficMatrix
@@ -60,20 +59,6 @@ class FixedPointResult:
     converged: bool
 
 
-def _primary_paths(
-    network: Network, table: PathTable, traffic: TrafficMatrix
-) -> tuple[list[tuple[tuple[int, int], float]], list[tuple[int, ...]]]:
-    """Resolve each positive-demand pair's primary path to link indices."""
-    demands = list(traffic.positive_pairs())
-    paths = []
-    for od, __ in demands:
-        primary = table.primary.get(od)
-        if primary is None:
-            raise ValueError(f"O-D pair {od} has demand but no primary path")
-        paths.append(network.path_links(primary))
-    return demands, paths
-
-
 # (network, table) -> (weakrefs, od order, flattened link-index arrays).  Load
 # sweeps call the fixed point with fresh (scaled) traffic but the same network
 # and path table; resolving every primary path to link indices costs more than
@@ -91,7 +76,7 @@ def _flatten_paths(
 
     The flattening lists link entries in (pair, hop) order, so every
     reduceat/bincount over them touches memory in exactly the order the
-    reference loops do — float accumulation order is preserved.
+    per-link oracle loops do — float accumulation order is preserved.
     """
     ods = [od for od, __ in demands]
     key = (id(network), id(table))
@@ -136,24 +121,15 @@ def erlang_fixed_point(
     tolerance: float = 1e-10,
     max_iterations: int = 10_000,
     damping: float = 0.5,
-    reference: bool = False,
 ) -> FixedPointResult:
     """Iterate the reduced-load equations to a fixed point.
 
     Damped successive substitution: ``B <- (1-d) * B + d * ErlangB(rho(B))``.
     The map is continuous on ``[0, 1]^L`` so a fixed point exists (Brouwer);
     damping keeps the iteration from oscillating at high loads.
-
-    ``reference=True`` runs the original unvectorized per-link loops — the
-    equivalence oracle for the tests and the baseline the perf benchmarks
-    time against.
     """
     if not 0 < damping <= 1:
         raise ValueError("damping must lie in (0, 1]")
-    if reference:
-        return _erlang_fixed_point_reference(
-            network, table, traffic, tolerance, max_iterations, damping
-        )
     demands = list(traffic.positive_pairs())
     num_links = network.num_links
     capacities = network.capacities()
@@ -222,59 +198,3 @@ def erlang_fixed_point(
         converged=converged,
     )
 
-
-def _erlang_fixed_point_reference(
-    network: Network,
-    table: PathTable,
-    traffic: TrafficMatrix,
-    tolerance: float,
-    max_iterations: int,
-    damping: float,
-) -> FixedPointResult:
-    """The original per-link Python loops, kept as the equivalence oracle."""
-    demands, paths = _primary_paths(network, table, traffic)
-    capacities = network.capacities()
-    blocking = np.zeros(network.num_links, dtype=float)
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        loads = np.zeros(network.num_links, dtype=float)
-        for (od, demand), links in zip(demands, paths):
-            passing = 1.0
-            for link in links:
-                passing *= 1.0 - blocking[link]
-            for link in links:
-                own = 1.0 - blocking[link]
-                thinned = demand * (passing / own if own > 0 else 0.0)
-                loads[link] += thinned
-        updated = np.array(
-            [
-                erlang_b(loads[i], int(capacities[i])) if capacities[i] > 0 else 1.0
-                for i in range(network.num_links)
-            ]
-        )
-        step = damping * (updated - blocking)
-        blocking = blocking + step
-        if np.abs(step).max() < tolerance:
-            converged = True
-            break
-    pair_blocking: dict[tuple[int, int], float] = {}
-    weighted = 0.0
-    total_demand = 0.0
-    for (od, demand), links in zip(demands, paths):
-        passing = 1.0
-        for link in links:
-            passing *= 1.0 - blocking[link]
-        loss = 1.0 - passing
-        pair_blocking[od] = loss
-        weighted += demand * loss
-        total_demand += demand
-    network_blocking = weighted / total_demand if total_demand else 0.0
-    return FixedPointResult(
-        link_blocking=blocking,
-        pair_blocking=pair_blocking,
-        network_blocking=network_blocking,
-        iterations=iterations,
-        converged=converged,
-    )

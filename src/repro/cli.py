@@ -1,20 +1,14 @@
 """Command-line interface: regenerate the paper's artifacts as text tables.
 
-Installed as ``repro-routing``.  Subcommands map to the paper's
-tables/figures, the analyses built around them, and an evaluate mode for
-user-supplied networks::
+Installed as ``repro-routing``.  Every artifact (the paper's tables and
+figures, Theorem 1's bound and the analyses built around them) is a
+registered experiment with one entry point, ``experiment <ID>``; the
+evaluate mode runs the routing schemes on user-supplied networks::
 
     repro-routing list                       # registered experiment ids
     repro-routing experiment FIG3            # regenerate one artifact
+    repro-routing experiment figure2         # old command names are aliases
     repro-routing report --output REPORT.md  # regenerate all of them
-    repro-routing table1                     # NSFNet protection levels
-    repro-routing figure2                    # r vs load curves
-    repro-routing quadrangle --seeds 10      # figures 3/4 sweep
-    repro-routing nsfnet --hops 6            # figures 6/7 sweep
-    repro-routing census                     # alternate-path census by H
-    repro-routing dynamic-failures           # mid-run link failure + recovery
-    repro-routing bistability                # mean-field fixed points
-    repro-routing theorem1                   # numeric bound verification
     repro-routing evaluate --network my.json --traffic demand.json
 
 The ``lab`` group orchestrates studies through the content-addressed result
@@ -30,207 +24,38 @@ store (resumable, cached, with JSONL telemetry)::
 The ``serve`` group runs the online admission-control service
 (:mod:`repro.serve`): the same compiled policies answering one call at a
 time over a JSON-lines socket, with micro-batching, overload shedding and
-live telemetry::
+live telemetry; ``control replay`` closes the protection-level control loop
+over one trace::
 
     repro-routing serve run --topology nsfnet --port 7411
     repro-routing serve replay --duration 60 --socket   # vs the simulator
     repro-routing serve bench --overload-factor 2
+    repro-routing control replay --workload adversarial:0
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis.bistability import find_fixed_points
-from .core.protection import min_protection_level
-from .core.theorem import verify_theorem1
-from .experiments.figures import (
-    figure2_protection_levels,
-    nsfnet_sweep,
-    quadrangle_sweep,
-)
-from .experiments.report import format_sweep, format_table, format_table1
-from .experiments.runner import PAPER_CONFIG
-from .experiments.tables import regenerate_table1, table1_agreement
+from ._compat import BACKENDS
+from .experiments.runner import PAPER_CONFIG, ReplicationConfig
 
 __all__ = ["main"]
 
 
-def _config(args: argparse.Namespace):
-    return PAPER_CONFIG.scaled(
-        duration_factor=args.duration / 100.0, num_seeds=args.seeds
-    )
-
-
-def _cmd_figure2(args: argparse.Namespace) -> int:
-    curves = figure2_protection_levels()
-    loads = curves[2][0]
-    rows = []
-    for i, load in enumerate(loads):
-        if load % args.step:
-            continue
-        rows.append([load] + [int(curves[h][1][i]) for h in (2, 6, 120)])
-    print("Figure 2: protection level r vs primary load (C = 100)")
-    print(format_table(["Lambda", "r(H=2)", "r(H=6)", "r(H=120)"], rows))
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    rows = regenerate_table1()
-    print("Table 1: NSFNet directed links under the nominal (calibrated) load")
-    print(format_table1(rows))
-    summary = table1_agreement(rows)
-    print(
-        f"\nagreement: loads {summary['load_match_fraction']:.0%}, "
-        f"protection levels {summary['protection_match_fraction']:.0%} "
-        f"(worst gap {summary['worst_protection_gap']:.0f}; residual "
-        "mismatches trace to the paper's integer-rounded Lambda column)"
-    )
-    return 0
-
-
-def _maybe_save(args: argparse.Namespace, points, title: str) -> None:
-    if getattr(args, "output", None):
-        from .experiments.storage import save_sweep
-
-        save_sweep(args.output, points, config=_config(args), title=title)
-        print(f"\nsaved to {args.output}")
-
-
-def _cmd_quadrangle(args: argparse.Namespace) -> int:
-    title = "Figures 3/4: fully-connected quadrangle, blocking vs per-pair load"
-    points = quadrangle_sweep(config=_config(args))
-    print(format_sweep(points, title))
-    _maybe_save(args, points, title)
-    return 0
-
-
-def _cmd_nsfnet(args: argparse.Namespace) -> int:
-    hops = None if args.hops in (None, 11) else args.hops
-    points = nsfnet_sweep(max_hops=hops, config=_config(args), include_ott_krishnan=args.ott_krishnan)
-    label = "H=11 (unlimited)" if hops is None else f"H={hops}"
-    title = f"Figures 6/7: NSFNet model, {label}, blocking vs load (nominal = 10)"
-    print(format_sweep(points, title))
-    _maybe_save(args, points, title)
-    return 0
-
-
-def _cmd_theorem1(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for __ in range(args.trials):
-        capacity = int(rng.integers(2, 60))
-        protection = int(rng.integers(0, capacity + 1))
-        demand = float(rng.uniform(0.1, 1.8)) * capacity
-        nu = demand * float(rng.uniform(0.3, 1.0))
-        overflow = np.sort(rng.uniform(0, 2.0 * capacity, size=capacity))[::-1].copy()
-        check = verify_theorem1(demand, capacity, protection, overflow, primary_rate=nu)
-        rows.append(
-            [capacity, protection, round(demand, 1),
-             check.worst_displacement, check.bound, "yes" if check.holds else "NO"]
-        )
-    print("Theorem 1: exact displacement vs bound (random non-increasing overflow profiles)")
-    print(format_table(["C", "r", "Lambda", "L (exact)", "bound", "holds"], rows))
-    return 0
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    from .topology.nsfnet import nsfnet_backbone
-    from .topology.paths import alternate_path_census, build_path_table
-
-    network = nsfnet_backbone()
-    rows = []
-    for hops in args.hops:
-        census = alternate_path_census(build_path_table(network, max_hops=hops))
-        rows.append([hops, census["mean"], int(census["max"]), int(census["min"])])
-    print("NSFNet alternate-path census by hop limit H")
-    print(format_table(["H", "mean", "max", "min"], rows))
-    return 0
-
-
-def _cmd_bistability(args: argparse.Namespace) -> int:
-    rows = []
-    for load in args.loads:
-        unprotected = find_fixed_points(load, args.capacity, 0, max_attempts=args.attempts)
-        level = min_protection_level(load, args.capacity, 2)
-        protected = find_fixed_points(
-            load, args.capacity, level, max_attempts=args.attempts
-        )
-        rows.append(
-            [
-                load,
-                len(unprotected),
-                unprotected[0].blocking,
-                unprotected[-1].blocking,
-                level,
-                protected[-1].blocking,
-            ]
-        )
-    print(
-        f"Symmetric mean-field fixed points, C={args.capacity}, "
-        f"{args.attempts} alternate attempts"
-    )
-    print(
-        format_table(
-            ["load", "#fp(r=0)", "low B", "high B", "r(Eq15)", "B(protected)"], rows
-        )
-    )
-    return 0
-
-
-def _cmd_dynamic_failures(args: argparse.Namespace) -> int:
-    from .experiments.robustness import dynamic_failure_comparison
-
+def _config(args: argparse.Namespace) -> ReplicationConfig:
     try:
-        reports = dynamic_failure_comparison(
-            config=_config(args),
-            load_scale=args.load_scale,
-            duplex=tuple(args.link),
-            reconvergence_delay=args.reconvergence,
+        return PAPER_CONFIG.scaled(
+            duration_factor=args.duration / 100.0, num_seeds=args.seeds
         )
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"dynamic-failures: {message}")
-    if args.json:
-        from .experiments.storage import statistic_to_dict
-
-        print(json.dumps({
-            "schema": "repro-dynamic-failures-v1",
-            "load_scale": args.load_scale,
-            "link": list(args.link),
-            "reconvergence_delay": args.reconvergence,
-            "policies": {
-                name: {
-                    "blocking": statistic_to_dict(r.blocking),
-                    "drop_rate": statistic_to_dict(r.drop_rate),
-                    "availability": statistic_to_dict(r.availability),
-                    "time_to_recover": statistic_to_dict(r.time_to_recover),
-                }
-                for name, r in reports.items()
-            },
-        }, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"Dynamic failure: NSFNet x{args.load_scale:g}, link "
-        f"{args.link[0]}<->{args.link[1]} fails mid-run, reconvergence "
-        f"delay {args.reconvergence:g}"
-    )
-    print(
-        format_table(
-            ["policy", "blocking", "dropped", "availability", "t-recover"],
-            [
-                [name, r.blocking.mean, r.drop_rate.mean, r.availability.mean,
-                 r.time_to_recover.mean]
-                for name, r in reports.items()
-            ],
-        )
-    )
-    return 0
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -329,15 +154,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type: a strictly positive integer (rejected at parse time)."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {parsed}")
-    return parsed
+def _bounded(cast: Callable[[str], float], positive: bool) -> Callable[[str], float]:
+    """Argparse type: a finite ``cast`` value above zero (``positive``) or
+    at least zero, so an out-of-range flag fails at parse time."""
+    kind = "an integer" if cast is int else "a number"
+    bound = "positive" if positive else "non-negative"
+
+    def parse(value: str) -> float:
+        try:
+            parsed = cast(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {value!r}")
+        if not 0 <= parsed < math.inf or (positive and parsed == 0):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return parsed
+
+    return parse
+
+
+_positive_int = _bounded(int, positive=True)
+_non_negative_int = _bounded(int, positive=False)
+_positive_float = _bounded(float, positive=True)
+_non_negative_float = _bounded(float, positive=False)
 
 
 def _parse_lab_traffic(value: str):
@@ -384,10 +222,10 @@ def _run_lab_studies(studies, args, config=None) -> int:
     from .api import LabConfig, run_study
     from .lab.scheduler import LabInterrupted
 
+    config = _config(args) if config is None else config
     lab = LabConfig(
         store=args.store, events=args.events, max_jobs=args.max_jobs
     )
-    config = _config(args) if config is None else config
     summaries = []
     for scenario, policies in studies:
         try:
@@ -458,7 +296,6 @@ def _latest_study(store) -> str | None:
 
 
 def _cmd_lab_resume(args: argparse.Namespace) -> int:
-    from .experiments.runner import ReplicationConfig
     from .lab.scheduler import scenario_from_spec
     from .lab.store import ResultStore
 
@@ -469,19 +306,19 @@ def _cmd_lab_resume(args: argparse.Namespace) -> int:
     manifest = store.load_manifest(study)
     if manifest is None:
         raise SystemExit(f"lab resume: unknown study {study!r} in {args.store}")
+    raw = manifest["config"]
     try:
         scenario = scenario_from_spec(manifest["spec"])
+        # Replay the manifest's own replication window and seed roster;
+        # different fidelity flags would change the job keys and therefore
+        # start a different study instead of finishing this one.
+        config = ReplicationConfig(
+            measured_duration=float(raw["measured_duration"]),
+            warmup=float(raw["warmup"]),
+            seeds=tuple(int(s) for s in raw["seeds"]),
+        )
     except ValueError as exc:
         raise SystemExit(f"lab resume: {exc}")
-    raw = manifest["config"]
-    # Replay the manifest's own replication window and seed roster;
-    # different fidelity flags would change the job keys and therefore
-    # start a different study instead of finishing this one.
-    config = ReplicationConfig(
-        measured_duration=float(raw["measured_duration"]),
-        warmup=float(raw["warmup"]),
-        seeds=tuple(int(s) for s in raw["seeds"]),
-    )
     return _run_lab_studies(
         [(scenario, tuple(manifest["policies"]))], args, config=config
     )
@@ -663,14 +500,14 @@ def _serve_engine(args: argparse.Namespace, network, policy, scenario):
 
     _check_controller_flags(args)
     overload = None
-    if args.rate is not None or args.queue_limit is not None:
-        overload = OverloadControl(OverloadConfig(
-            rate=float("inf") if args.rate is None else args.rate,
-            burst=args.burst,
-            alternate_reserve=args.reserve,
-            queue_limit=4096 if args.queue_limit is None else args.queue_limit,
-        ))
     try:
+        if args.rate is not None or args.queue_limit is not None:
+            overload = OverloadControl(OverloadConfig(
+                rate=float("inf") if args.rate is None else args.rate,
+                burst=args.burst,
+                alternate_reserve=args.reserve,
+                queue_limit=4096 if args.queue_limit is None else args.queue_limit,
+            ))
         adaptation = (
             None if args.adapt_interval is None
             else AdaptationConfig(update_interval=args.adapt_interval)
@@ -1067,47 +904,6 @@ def _cmd_control_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_control_study(args: argparse.Namespace) -> int:
-    """EXP-CTL at chosen fidelity (the benchmark runs this committed)."""
-    from .experiments.control import control_loop_study
-
-    config = _config(args)
-    try:
-        study = control_loop_study(
-            config=config, controller=args.controller,
-            interval=args.control_interval,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"control: {exc}")
-    if args.json:
-        print(json.dumps(
-            {"schema": "repro-control-study-v1", "study": study},
-            indent=2, sort_keys=True,
-        ))
-        return 0
-    from .experiments.report import format_table
-
-    rows = [
-        [spec, f"{doc['static_blocking']['mean']:.4f}",
-         f"{doc['ewma_blocking']['mean']:.4f}",
-         f"{doc['online_blocking']['mean']:.4f}",
-         f"{doc['hindsight_blocking']['mean']:.4f}",
-         "-" if doc["gap_closed"] is None else f"{doc['gap_closed']:.0%}",
-         doc["clamp_violations"]]
-        for spec, doc in study["workloads"].items()
-    ]
-    print(format_table(
-        ["workload", "static B", "ewma B", "online B", "hindsight B",
-         "gap closed", "clamp viol"],
-        rows,
-    ))
-    print(
-        f"stationary reference {study['stationary_blocking']['mean']:.4f} "
-        f"network blocking"
-    )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -1130,62 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig2 = sub.add_parser("figure2", help="protection level vs load curves")
-    fig2.add_argument("--step", type=int, default=10, help="print every STEP Erlangs")
-    fig2.set_defaults(func=_cmd_figure2)
-
-    tab1 = sub.add_parser("table1", help="NSFNet protection-level table")
-    tab1.set_defaults(func=_cmd_table1)
-
-    for name, func, help_text in (
-        ("quadrangle", _cmd_quadrangle, "figures 3/4 blocking sweep"),
-        ("nsfnet", _cmd_nsfnet, "figures 6/7 blocking sweep"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--seeds", type=int, default=10, help="replications per point")
-        cmd.add_argument("--duration", type=float, default=100.0, help="measured time units")
-        cmd.add_argument("--output", help="save the sweep as JSON to this path")
-        if name == "nsfnet":
-            cmd.add_argument("--hops", type=int, default=11, help="H, max alternate hops")
-            cmd.add_argument("--ott-krishnan", action="store_true", help="include the shadow-price comparator")
-        cmd.set_defaults(func=func)
-
-    thm = sub.add_parser("theorem1", help="numeric Theorem-1 verification")
-    thm.add_argument("--trials", type=int, default=10)
-    thm.add_argument("--seed", type=int, default=0)
-    thm.set_defaults(func=_cmd_theorem1)
-
-    census = sub.add_parser("census", help="NSFNet alternate-path census by H")
-    census.add_argument("--hops", type=int, nargs="+", default=[6, 9, 11])
-    census.set_defaults(func=_cmd_census)
-
-    bist = sub.add_parser("bistability", help="mean-field bistability analysis")
-    bist.add_argument("--capacity", type=int, default=120)
-    bist.add_argument("--attempts", type=int, default=5)
-    bist.add_argument(
-        "--loads", type=float, nargs="+", default=[90.0, 96.0, 100.0, 104.0, 108.0]
-    )
-    bist.set_defaults(func=_cmd_bistability)
-
-    dynfail = sub.add_parser(
-        "dynamic-failures", help="mid-run link failure, drops and recovery"
-    )
-    dynfail.add_argument("--seeds", type=int, default=10)
-    dynfail.add_argument("--duration", type=float, default=100.0)
-    dynfail.add_argument("--load-scale", type=float, default=1.2)
-    dynfail.add_argument(
-        "--link", type=int, nargs=2, default=[2, 3], metavar=("A", "B"),
-        help="duplex link to fail (node pair)",
-    )
-    dynfail.add_argument(
-        "--reconvergence", type=float, default=2.0,
-        help="delay before policies rebuild after a topology change",
-    )
-    dynfail.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    dynfail.set_defaults(func=_cmd_dynamic_failures)
-
     exp = sub.add_parser("experiment", help="regenerate one registered experiment")
     exp.add_argument("id", help="experiment id from DESIGN.md (e.g. FIG3, TAB1)")
     exp.add_argument("--seeds", type=int, default=10)
@@ -1205,8 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seeds", type=int, default=10)
     evaluate.add_argument("--duration", type=float, default=100.0)
     evaluate.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    evaluate.add_argument("--backend", choices=["auto", "batch", "fast", "reference"],
-                          default="auto",
+    evaluate.add_argument("--backend", choices=BACKENDS, default="auto",
                           help="simulation engine (all are bit-identical; "
                                "auto batches the seeds when possible)")
     evaluate.set_defaults(func=_cmd_evaluate)
@@ -1229,14 +968,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'nominal' or a per-pair Erlang value")
     run.add_argument("--policies", nargs="+", default=["controlled"],
                      help="routing policies to study on common random numbers")
-    run.add_argument("--load-scale", type=float, default=1.0)
-    run.add_argument("--hops", type=int, default=None, help="alternate hop cap H")
+    run.add_argument("--load-scale", type=_positive_float, default=1.0)
+    run.add_argument("--hops", type=_non_negative_int, default=None,
+                     help="alternate hop cap H")
     run.add_argument("--experiment", default=None,
                      help="run a registered experiment's lab job graph instead")
     run.add_argument("--seeds", type=_positive_int, default=10)
-    run.add_argument("--duration", type=float, default=100.0)
-    run.add_argument("--backend", choices=["auto", "batch", "fast", "reference"],
-                     default="auto",
+    run.add_argument("--duration", type=_positive_float, default=100.0)
+    run.add_argument("--backend", choices=BACKENDS, default="auto",
                      help="simulation engine (all are bit-identical; "
                           "auto batches each policy's seeds when possible)")
     run.set_defaults(func=_cmd_lab_run)
@@ -1253,9 +992,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result-store root (default .repro-lab)")
         cmd.add_argument("--events", default=None,
                          help="JSONL telemetry path (default: inside the store)")
-        cmd.add_argument("--workers", type=int, default=0,
+        cmd.add_argument("--workers", type=_non_negative_int, default=0,
                          help="process-pool size; 0 (default) runs in-process")
-        cmd.add_argument("--max-jobs", type=int, default=None,
+        cmd.add_argument("--max-jobs", type=_non_negative_int, default=None,
                          help="simulate at most N jobs, then checkpoint and stop")
         cmd.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON")
@@ -1286,10 +1025,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="serve admission decisions over a JSON-lines socket"
     )
     serve_run.add_argument("--host", default="127.0.0.1")
-    serve_run.add_argument("--port", type=int, default=7411)
-    serve_run.add_argument("--publish-every", type=float, default=None,
+    serve_run.add_argument("--port", type=_non_negative_int, default=7411)
+    serve_run.add_argument("--publish-every", type=_positive_float, default=None,
                            help="telemetry snapshot period in seconds")
-    serve_run.add_argument("--read-timeout", type=float, default=30.0,
+    serve_run.add_argument("--read-timeout", type=_non_negative_float,
+                           default=30.0,
                            help="disconnect a connection idle this many "
                                 "seconds (0 disables)")
     serve_run.add_argument("--max-line-bytes", type=_positive_int,
@@ -1300,13 +1040,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_replay = serve_sub.add_parser(
         "replay", help="replay a generated trace; verify against the simulator"
     )
-    serve_replay.add_argument("--duration", type=float, default=60.0,
+    serve_replay.add_argument("--duration", type=_positive_float, default=60.0,
                               help="measured trace time units")
-    serve_replay.add_argument("--warmup", type=float, default=10.0)
-    serve_replay.add_argument("--seed", type=int, default=0)
+    serve_replay.add_argument("--warmup", type=_non_negative_float, default=10.0)
+    serve_replay.add_argument("--seed", type=_non_negative_int, default=0)
     serve_replay.add_argument("--socket", action="store_true",
                               help="replay through the socket server, not in-process")
-    serve_replay.add_argument("--speedup", type=float, default=None,
+    serve_replay.add_argument("--speedup", type=_positive_float, default=None,
                               help="pace replay: trace units per wall second")
     serve_replay.add_argument("--json", action="store_true",
                               help="emit machine-readable JSON")
@@ -1315,10 +1055,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench = serve_sub.add_parser(
         "bench", help="serial-vs-batched throughput and overload behaviour"
     )
-    serve_bench.add_argument("--duration", type=float, default=40.0)
-    serve_bench.add_argument("--seed", type=int, default=0)
+    serve_bench.add_argument("--duration", type=_positive_float, default=40.0)
+    serve_bench.add_argument("--seed", type=_non_negative_int, default=0)
     serve_bench.add_argument("--rounds", type=_positive_int, default=3)
-    serve_bench.add_argument("--overload-factor", type=float, default=2.0,
+    serve_bench.add_argument("--overload-factor", type=_positive_float,
+                             default=2.0,
                              help="offered-rate multiple of the token rate")
     serve_bench.add_argument("--json", action="store_true",
                              help="emit machine-readable JSON")
@@ -1334,10 +1075,10 @@ def build_parser() -> argparse.ArgumentParser:
                                default="ordered",
                                help="ordered is engine-bit-identical; "
                                     "pipelined overlaps waves for throughput")
-    serve_cluster.add_argument("--duration", type=float, default=20.0,
+    serve_cluster.add_argument("--duration", type=_positive_float, default=20.0,
                                help="measured trace time units")
-    serve_cluster.add_argument("--warmup", type=float, default=5.0)
-    serve_cluster.add_argument("--seed", type=int, default=0)
+    serve_cluster.add_argument("--warmup", type=_non_negative_float, default=5.0)
+    serve_cluster.add_argument("--seed", type=_non_negative_int, default=0)
     serve_cluster.add_argument("--journal", default=None,
                                help="mirror the reservation journal to this "
                                     "JSONL path")
@@ -1352,21 +1093,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="'nominal' or a per-pair Erlang value")
         cmd.add_argument("--policy", default="controlled",
                          help="routing policy to serve (threshold family)")
-        cmd.add_argument("--load-scale", type=float, default=1.0)
-        cmd.add_argument("--hops", type=int, default=None,
+        cmd.add_argument("--load-scale", type=_positive_float, default=1.0)
+        cmd.add_argument("--hops", type=_non_negative_int, default=None,
                          help="alternate hop cap H")
         cmd.add_argument("--batch", type=_positive_int, default=64,
                          help="micro-batch size (max_batch)")
-        cmd.add_argument("--max-latency", type=float, default=0.002,
+        cmd.add_argument("--max-latency", type=_non_negative_float, default=0.002,
                          help="micro-batch flush deadline in seconds")
-        cmd.add_argument("--rate", type=float, default=None,
+        cmd.add_argument("--rate", type=_positive_float, default=None,
                          help="token-bucket admission-query rate (enables shedding)")
-        cmd.add_argument("--burst", type=float, default=256.0)
-        cmd.add_argument("--reserve", type=float, default=0.25,
+        cmd.add_argument("--burst", type=_positive_float, default=256.0)
+        cmd.add_argument("--reserve", type=_non_negative_float, default=0.25,
                          help="burst fraction reserved for primary-only service")
-        cmd.add_argument("--queue-limit", type=int, default=None,
+        cmd.add_argument("--queue-limit", type=_positive_int, default=None,
                          help="hard queue bound (enables queue shedding)")
-        cmd.add_argument("--adapt-interval", type=float, default=None,
+        cmd.add_argument("--adapt-interval", type=_positive_float, default=None,
                          help="enable online threshold adaptation, this often")
         cmd.add_argument("--workload", default=None,
                          help="time-varying workload spec: diurnal, "
@@ -1380,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="close the online protection-level control "
                               "loop (repro.control); needs a non-stationary "
                               "--workload")
-        cmd.add_argument("--control-interval", type=float, default=5.0,
+        cmd.add_argument("--control-interval", type=_positive_float, default=5.0,
                          help="controller re-optimization window in trace "
                               "time units")
 
@@ -1394,11 +1135,12 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="closed-loop trace replay with the controller's step trajectory",
     )
-    control_replay.add_argument("--duration", type=float, default=60.0,
+    control_replay.add_argument("--duration", type=_positive_float, default=60.0,
                                 help="measured trace time units")
-    control_replay.add_argument("--warmup", type=float, default=10.0)
-    control_replay.add_argument("--seed", type=int, default=0)
-    control_replay.add_argument("--pin-epoch", type=int, default=None,
+    control_replay.add_argument("--warmup", type=_non_negative_float,
+                                default=10.0)
+    control_replay.add_argument("--seed", type=_non_negative_int, default=0)
+    control_replay.add_argument("--pin-epoch", type=_non_negative_int, default=None,
                                 help="freeze swaps at this policy epoch "
                                      "(rollback drill: proposals are "
                                      "recorded but not applied)")
@@ -1409,8 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
     control_replay.add_argument("--policy", default="length-adaptive",
                                 help="threshold-family policy to control "
                                      "(default length-adaptive)")
-    control_replay.add_argument("--load-scale", type=float, default=1.1)
-    control_replay.add_argument("--hops", type=int, default=6,
+    control_replay.add_argument("--load-scale", type=_positive_float, default=1.1)
+    control_replay.add_argument("--hops", type=_non_negative_int, default=6,
                                 help="alternate hop cap H")
     control_replay.add_argument("--workload", default=None,
                                 help="time-varying workload spec: diurnal, "
@@ -1421,22 +1163,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="emit machine-readable JSON")
     control_replay.set_defaults(func=_cmd_control_replay)
 
-    control_study = control_sub.add_parser(
-        "study",
-        help="EXP-CTL: static vs EWMA vs online control across workloads",
-    )
-    control_study.add_argument("--seeds", type=int, default=10)
-    control_study.add_argument("--duration", type=float, default=100.0)
-    control_study.add_argument("--json", action="store_true",
-                               help="emit machine-readable JSON")
-    control_study.set_defaults(func=_cmd_control_study)
-
-    for cmd in (control_replay, control_study):
-        cmd.add_argument("--controller", choices=("gradient", "markov"),
-                         default="gradient")
-        cmd.add_argument("--control-interval", type=float, default=5.0,
-                         help="controller re-optimization window in trace "
-                              "time units")
+    control_replay.add_argument("--controller", choices=("gradient", "markov"),
+                                default="gradient")
+    control_replay.add_argument("--control-interval", type=_positive_float,
+                                default=5.0,
+                                help="controller re-optimization window in "
+                                     "trace time units")
     return parser
 
 

@@ -62,6 +62,7 @@ __all__ = [
 #: controller on a stationary workload as a no-op (see ``repro serve``).
 STUDY_WORKLOADS = ("diurnal", "flash-crowd", "adversarial:0")
 
+_CONTROLLER = "gradient"
 _UPDATE_INTERVAL = 5.0
 _EWMA_WEIGHT = 0.3
 
@@ -132,7 +133,7 @@ def _engine_matches(network, policy, adaptive, result) -> bool:
     return outcome(oracle, state.refreshes) == outcome(result, adaptive.updates)
 
 
-def _online_run(network, table, traffic, policy, trace, warmup, controller, interval):
+def _online_run(network, table, traffic, policy, trace, warmup):
     """One closed-loop engine replay; returns its result and the loop."""
     from ..control import make_control_loop
     from ..serve.engine import RequestEngine
@@ -141,7 +142,7 @@ def _online_run(network, table, traffic, policy, trace, warmup, controller, inte
 
     state = NetworkState(network, policy)
     loop = make_control_loop(
-        state, table, traffic, controller=controller, interval=interval
+        state, table, traffic, controller=_CONTROLLER, interval=_UPDATE_INTERVAL
     )
     engine = RequestEngine(network, policy, state=state, control=loop)
     decisions = engine.decide_batch(trace_requests(trace))
@@ -154,8 +155,6 @@ def control_loop_study(
     workloads: tuple[str, ...] = STUDY_WORKLOADS,
     max_hops: int = 6,
     load_scale: float = 1.1,
-    controller: str = "gradient",
-    interval: float = _UPDATE_INTERVAL,
 ) -> dict:
     """Run the full EXP-CTL comparison; returns a JSON-ready document."""
     from ..serve.loadgen import measure_regime_shift
@@ -207,7 +206,7 @@ def control_loop_study(
             adaptive = AdaptiveProtectionSimulator(
                 network, table, trace,
                 warmup=config.warmup,
-                update_interval=interval,
+                update_interval=_UPDATE_INTERVAL,
                 ewma_weight=_EWMA_WEIGHT,
                 max_hops=max_hops,
                 initial_loads=nominal_loads,
@@ -228,7 +227,7 @@ def control_loop_study(
         for trace in traces:
             result, loop, state = _online_run(
                 network, table, traffic, online_policy, trace,
-                config.warmup, controller, interval,
+                config.warmup,
             )
             online_blocking.append(result.network_blocking)
             online_steps.append(len(loop.steps))
@@ -248,8 +247,8 @@ def control_loop_study(
 
         serve_state = NetworkState(network, online_policy)
         serve_loop = make_control_loop(
-            serve_state, table, traffic, controller=controller,
-            interval=interval,
+            serve_state, table, traffic, controller=_CONTROLLER,
+            interval=_UPDATE_INTERVAL,
         )
         serve_report = measure_regime_shift(
             network, online_policy, traces[0],
@@ -304,8 +303,8 @@ def control_loop_study(
         "topology": "nsfnet",
         "traffic": "nominal",
         "policy": "length-adaptive",
-        "controller": controller,
-        "interval": interval,
+        "controller": _CONTROLLER,
+        "interval": _UPDATE_INTERVAL,
         "max_hops": max_hops,
         "load_scale": load_scale,
         "seeds": list(config.seeds),

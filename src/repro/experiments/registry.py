@@ -135,8 +135,20 @@ def _fig6(config: ReplicationConfig) -> str:
 
 
 def _h6(config: ReplicationConfig) -> str:
+    from ..topology.nsfnet import nsfnet_backbone
+    from ..topology.paths import alternate_path_census, build_path_table
+
     points = nsfnet_sweep(max_hops=6, config=config)
-    return format_sweep(points, "Section 4.2.2: NSFNet with H=6")
+    network = nsfnet_backbone()
+    rows = []
+    for hops in (6, 9, 11):
+        census = alternate_path_census(build_path_table(network, max_hops=hops))
+        rows.append([hops, census["mean"], int(census["max"]), int(census["min"])])
+    return (
+        format_sweep(points, "Section 4.2.2: NSFNet with H=6")
+        + "\n\nNSFNet alternate-path census by hop limit H\n"
+        + format_table(["H", "mean", "max", "min"], rows)
+    )
 
 
 def _ott_krishnan(config: ReplicationConfig) -> str:
@@ -196,6 +208,31 @@ def _bistability(config: ReplicationConfig) -> str:
     return (
         "Mean-field bistability, C=120, 5 alternate attempts\n"
         + format_table(["load", "#fp(r=0)", "worst B(r=0)", "r(Eq15)", "B(r)"], rows)
+    )
+
+
+def _theorem1(config: ReplicationConfig) -> str:
+    import numpy as np
+
+    from ..core.theorem import verify_theorem1
+
+    rng = np.random.default_rng(0)
+    rows = []
+    for __ in range(10):
+        capacity = int(rng.integers(2, 60))
+        protection = int(rng.integers(0, capacity + 1))
+        demand = float(rng.uniform(0.1, 1.8)) * capacity
+        nu = demand * float(rng.uniform(0.3, 1.0))
+        overflow = np.sort(rng.uniform(0, 2.0 * capacity, size=capacity))[::-1].copy()
+        check = verify_theorem1(demand, capacity, protection, overflow, primary_rate=nu)
+        rows.append(
+            [capacity, protection, round(demand, 1),
+             check.worst_displacement, check.bound, "yes" if check.holds else "NO"]
+        )
+    return (
+        "Theorem 1: exact displacement vs bound "
+        "(random non-increasing overflow profiles)\n"
+        + format_table(["C", "r", "Lambda", "L (exact)", "bound", "holds"], rows)
     )
 
 
@@ -471,6 +508,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                    "bench_minloss_primaries.py", _minloss),
         Experiment("EXT-BIST", "mean-field bistability analysis",
                    "bench_bistability.py", _bistability),
+        Experiment("THM1", "Theorem 1: exact displacement vs its bound",
+                   "bench_theorem1_bound.py", _theorem1),
         Experiment("ABL-R", "protection-level robustness",
                    "bench_ablation_r_sensitivity.py", _ablation_r),
         Experiment("ABL-EST", "known vs estimated primary loads",
@@ -489,11 +528,19 @@ EXPERIMENTS: dict[str, Experiment] = {
     )
 }
 
-#: Alternate spellings accepted by the CLI (``experiment adversarial-load``).
+#: Alternate spellings accepted by the CLI (``experiment adversarial-load``),
+#: including the names of the artifact subcommands the CLI used to have.
 ALIASES: dict[str, str] = {
     "ADVERSARIAL-LOAD": "EXP-ADV",
+    "BISTABILITY": "EXT-BIST",
     "CONTROL": "EXP-CTL",
     "CONTROL-LOOP": "EXP-CTL",
+    "DYNAMIC-FAILURES": "EXP-DYNFAIL",
+    "FIGURE2": "FIG2",
+    "NSFNET": "FIG6",
+    "QUADRANGLE": "FIG3",
+    "TABLE1": "TAB1",
+    "THEOREM1": "THM1",
 }
 
 

@@ -102,6 +102,13 @@ def forecast_error_sweep(
     return outcome
 
 
+#: EXP-DYNFAIL's setting: NSFNet at 1.2x nominal, duplex link 2<->3 fails,
+#: and policies rebuild 2 time units after each topology change.
+_DYNFAIL_LOAD_SCALE = 1.2
+_DYNFAIL_DUPLEX = (2, 3)
+_DYNFAIL_RECONVERGENCE_DELAY = 2.0
+
+
 @dataclass(frozen=True)
 class DynamicFailureReport:
     """Per-policy outcome of the dynamic-failure study, aggregated over seeds.
@@ -150,30 +157,27 @@ def _default_policy_factories(
 
 def dynamic_failure_comparison(
     config: ReplicationConfig = PAPER_CONFIG,
-    load_scale: float = 1.2,
-    duplex: tuple[int, int] = (2, 3),
     fail_fraction: float = 0.2,
     repair_fraction: float = 0.5,
-    reconvergence_delay: float = 2.0,
     num_bins: int = 20,
     factories: Mapping[str, Callable[[Network], RoutingPolicy]] | None = None,
 ) -> dict[str, DynamicFailureReport]:
     """The paper's failure study made dynamic: fail mid-run, repair, recover.
 
-    On NSFNet at ``load_scale`` times the nominal traffic, duplex link
-    ``duplex`` fails at ``warmup + fail_fraction * measured_duration`` and
-    is repaired at ``warmup + repair_fraction * measured_duration`` (the
-    paper-config defaults put these at t=30 and t=60).  In-progress calls
-    on the link are dropped; each policy keeps routing on stale tables for
-    ``reconvergence_delay`` time units after each topology change, then is
-    rebuilt from its factory against the changed topology.
+    On NSFNet at 1.2 times the nominal traffic, duplex link 2<->3 fails at
+    ``warmup + fail_fraction * measured_duration`` and is repaired at
+    ``warmup + repair_fraction * measured_duration`` (the paper-config
+    defaults put these at t=30 and t=60).  In-progress calls on the link
+    are dropped; each policy keeps routing on stale tables for 2 time units
+    after each topology change, then is rebuilt from its factory against
+    the changed topology.
 
     All policies replay identical arrival traces (common random numbers),
     and every per-seed simulation is fully deterministic, so the whole
     comparison is reproducible bit for bit.
     """
     network = nsfnet_backbone()
-    traffic = nsfnet_nominal_traffic().scaled(load_scale)
+    traffic = nsfnet_nominal_traffic().scaled(_DYNFAIL_LOAD_SCALE)
     if factories is None:
         factories = _default_policy_factories(traffic)
     measured = config.measured_duration
@@ -184,7 +188,9 @@ def dynamic_failure_comparison(
             f"failure window [{fail_at:g}, {repair_at:g}] must lie inside the "
             f"measured interval [{config.warmup:g}, {config.duration:g})"
         )
-    timeline = single_failure_timeline(*duplex, fail_at=fail_at, repair_at=repair_at)
+    timeline = single_failure_timeline(
+        *_DYNFAIL_DUPLEX, fail_at=fail_at, repair_at=repair_at
+    )
     bin_width = config.duration / num_bins
     traces = [generate_trace(traffic, config.duration, seed) for seed in config.seeds]
 
@@ -198,7 +204,7 @@ def dynamic_failure_comparison(
                 trace,
                 warmup=config.warmup,
                 faults=timeline,
-                reconvergence_delay=reconvergence_delay,
+                reconvergence_delay=_DYNFAIL_RECONVERGENCE_DELAY,
                 rebuild_policy=factory,
                 timeline_bin=bin_width,
             )

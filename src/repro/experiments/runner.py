@@ -19,6 +19,7 @@ per-seed report next to the aggregate.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -114,11 +115,27 @@ class ReplicationConfig:
     """Replication parameters; defaults reproduce the paper's setup.
 
     Keyword-only: construct as ``ReplicationConfig(measured_duration=...)``.
+    Raises ``ValueError`` for a non-finite or non-positive measured window,
+    a negative or non-finite warm-up, or an empty seed roster, none of
+    which can produce a replication.
     """
 
     measured_duration: float = 100.0
     warmup: float = 10.0
     seeds: tuple[int, ...] = tuple(range(10))
+
+    def __post_init__(self):
+        if not 0.0 < self.measured_duration < math.inf:
+            raise ValueError(
+                "measured duration must be positive and finite, got "
+                f"{self.measured_duration:g}"
+            )
+        if not 0.0 <= self.warmup < math.inf:
+            raise ValueError(
+                f"warmup must be non-negative and finite, got {self.warmup:g}"
+            )
+        if not self.seeds:
+            raise ValueError("at least one replication seed is required")
 
     @property
     def duration(self) -> float:

@@ -1,8 +1,8 @@
 """Vectorized hot paths vs their retained reference implementations.
 
-The perf core keeps every original code path callable — the simulator via
-``backend="reference"``, the analysis kernels via their ``reference=True``
-flag.  The simulator's fast loop makes the exact same
+The simulator keeps its general event loop as ``backend="reference"``; the
+analysis kernels' original loops live in :mod:`tests.oracles.analysis`.
+The simulator's fast loop makes the exact same
 admission decisions in the exact same order, so its statistics must be
 bit-identical; the analysis kernels change only float accumulation order
 (the batch Erlang kernel sums the Horner recursion as one cumulative
@@ -32,6 +32,12 @@ from repro.traffic.calibration import nsfnet_nominal_traffic
 from repro.traffic.demand import primary_link_loads
 from repro.traffic.generators import uniform_traffic
 
+from .oracles.analysis import (
+    alternate_routing_fixed_point_reference,
+    erlang_bound_reference,
+    erlang_fixed_point_reference,
+)
+
 _COUNTERS = ("offered", "blocked", "primary_carried", "alternate_carried")
 
 
@@ -58,7 +64,7 @@ class TestAnalysisEquivalence:
     def test_erlang_fixed_point_matches_reference(self, load_scale):
         network, table, traffic = _nsfnet_setup(load_scale)
         fast = erlang_fixed_point(network, table, traffic)
-        ref = erlang_fixed_point(network, table, traffic, reference=True)
+        ref = erlang_fixed_point_reference(network, table, traffic)
         assert fast.iterations == ref.iterations
         np.testing.assert_allclose(
             fast.link_blocking, ref.link_blocking, rtol=1e-9, atol=1e-15
@@ -74,8 +80,8 @@ class TestAnalysisEquivalence:
         traffic = uniform_traffic(4, 90.0)
         levels = np.full(network.num_links, reservation)
         fast = alternate_routing_fixed_point(network, table, traffic, levels)
-        ref = alternate_routing_fixed_point(
-            network, table, traffic, levels, reference=True
+        ref = alternate_routing_fixed_point_reference(
+            network, table, traffic, levels
         )
         assert fast.iterations == ref.iterations
         assert fast.converged == ref.converged
@@ -101,7 +107,7 @@ class TestAnalysisEquivalence:
             (quadrangle(100), uniform_traffic(4, 95.0)),
         ):
             fast = erlang_bound(network, traffic)
-            ref = erlang_bound(network, traffic, reference=True)
+            ref = erlang_bound_reference(network, traffic)
             assert fast == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_erlang_bound_matches_reference_after_failure(self):
@@ -110,7 +116,7 @@ class TestAnalysisEquivalence:
         network.fail_link(3, 2)
         traffic = nsfnet_nominal_traffic()
         assert erlang_bound(network, traffic) == pytest.approx(
-            erlang_bound(network, traffic, reference=True), rel=1e-12
+            erlang_bound_reference(network, traffic), rel=1e-12
         )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -14,13 +17,25 @@ from repro.experiments.runner import ReplicationConfig
 
 TINY = ReplicationConfig(measured_duration=3.0, warmup=1.0, seeds=(0,))
 
+DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
+
+#: Names of the retired artifact subcommands, each now an alias of its id.
+OLD_NAMES = [
+    ("figure2", "FIG2"),
+    ("table1", "TAB1"),
+    ("quadrangle", "FIG3"),
+    ("nsfnet", "FIG6"),
+    ("bistability", "EXT-BIST"),
+    ("dynamic-failures", "EXP-DYNFAIL"),
+    ("theorem1", "THM1"),
+    ("control-loop", "EXP-CTL"),
+]
+
 
 class TestRegistry:
     def test_ids_match_design_document(self):
-        assert {
-            "FIG2", "TAB1", "FIG3", "FIG6", "EXP-H6", "EXP-OK",
-            "EXP-FAIL", "EXP-FAIR", "EXP-MINLOSS", "EXT-BIST",
-        } <= set(EXPERIMENTS)
+        rows = set(re.findall(r"^\| ([A-Z0-9-]+) \|", DESIGN.read_text(), re.M))
+        assert set(EXPERIMENTS) <= rows, set(EXPERIMENTS) - rows
 
     def test_bistability_report(self):
         report = run_experiment("EXT-BIST", TINY)
@@ -62,6 +77,16 @@ class TestCliIntegration:
     def test_experiment_command(self, capsys):
         assert main(["experiment", "FIG2", "--seeds", "1", "--duration", "3"]) == 0
         assert "Lambda" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("old_name, experiment_id", OLD_NAMES)
+    def test_old_name_prints_what_the_id_prints(
+        self, old_name, experiment_id, capsys
+    ):
+        flags = ["--seeds", "1", "--duration", "3"]
+        assert main(["experiment", experiment_id, *flags]) == 0
+        expected = capsys.readouterr().out
+        assert main(["experiment", old_name, *flags]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestRunAll:
