@@ -24,7 +24,6 @@ Quick tour (see README.md for the narrative)::
 """
 
 from .api import (
-    BatchResult,
     LabConfig,
     Scenario,
     StudyResult,
@@ -90,7 +89,6 @@ __all__ = [
     # façade
     "Scenario",
     "StudyResult",
-    "BatchResult",
     "LabConfig",
     "run_scenario",
     "run_study",

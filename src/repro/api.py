@@ -67,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Scenario",
     "StudyResult",
-    "BatchResult",
     "LabConfig",
     "run_scenario",
     "run_study",
@@ -234,9 +233,10 @@ class Scenario:
 class StudyResult:
     """What :func:`run_study` returns: per-policy replication outcomes.
 
-    ``lab`` is populated only for lab-orchestrated runs
-    (``run_study(..., lab=LabConfig(...))``): the pass's cache-hit /
-    simulation / telemetry report.
+    Whichever engine ran, the per-seed accessors give the seed axis as
+    arrays for the sole policy or the one named.  ``lab`` is populated only
+    for lab-orchestrated runs (``run_study(..., lab=LabConfig(...))``): the
+    pass's cache-hit / simulation / telemetry report.
     """
 
     outcomes: Mapping[str, ReplicationOutcome]
@@ -261,30 +261,8 @@ class StudyResult:
         """Per-policy aggregate network blocking."""
         return {name: outcome.stat for name, outcome in self.outcomes.items()}
 
-
-@dataclass(frozen=True)
-class BatchResult(StudyResult):
-    """A :class:`StudyResult` whose replications ran through the batch kernel.
-
-    :func:`run_study` returns this subclass whenever at least one policy's
-    seeds were simulated by the lockstep many-seeds backend.  The aggregate
-    interface (``.stat``, ``.blocking()``, ``.outcomes``) is inherited
-    unchanged and bit-identical to a per-seed run; what this adds is the
-    seed axis as arrays, plus :meth:`per_seed` for code that wants the
-    historical per-seed result list.
-    """
-
     def _outcome_for(self, policy: str | None) -> ReplicationOutcome:
         return self.outcome if policy is None else self.outcomes[policy]
-
-    def per_seed(self, policy: str | None = None) -> list[SimulationResult]:
-        """The per-seed :class:`SimulationResult` list, in seed order.
-
-        This is exactly what ``outcome.results`` holds for a per-seed run,
-        so existing experiments/registry code can consume batch output
-        untouched.
-        """
-        return list(self._outcome_for(policy).results)
 
     def seeds(self, policy: str | None = None) -> tuple[int, ...]:
         """The seeds simulated for ``policy``, in result order."""
@@ -367,7 +345,7 @@ def run_study(
     loops for configurations the kernel cannot express (and for parallel
     pools, which stay per-seed by construction); ``"fast"`` / ``"reference"``
     force the per-seed loops.  Results are bit-identical across backends;
-    when the batch kernel ran, the returned study is a :class:`BatchResult`.
+    ``StudyResult.backends`` names the engine behind each policy.
 
     ``lab=LabConfig(...)`` routes the study through :mod:`repro.lab`: each
     ``(policy, seed)`` replication is looked up in a content-addressed
@@ -375,7 +353,6 @@ def run_study(
     interrupted study resumes where it stopped, and progress is logged as
     JSONL telemetry.  The returned statistics are bit-identical to a direct
     run; the pass's report rides along as ``StudyResult.lab``.
-    (``seed_timeout`` applies only to the direct path.)
 
     Per-seed diagnostics ride along on each policy's
     :class:`~repro.experiments.runner.ReplicationOutcome` as
@@ -393,7 +370,8 @@ def run_study(
         return run_lab_study(
             scenario, policies=policies, config=config, lab=lab,
             parallel=parallel, max_workers=max_workers,
-            max_seed_retries=max_seed_retries, backend=backend,
+            seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
+            backend=backend,
         )
     names = (scenario.policy,) if policies is None else tuple(policies)
     workload = scenario.resolved_workload(config.duration)
@@ -411,9 +389,4 @@ def run_study(
             seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
             workload=workload, backend=backend,
         )
-    cls = (
-        BatchResult
-        if any(outcome.backend == "batch" for outcome in outcomes.values())
-        else StudyResult
-    )
-    return cls(outcomes=outcomes, config=config)
+    return StudyResult(outcomes=outcomes, config=config)

@@ -7,13 +7,15 @@ holding times.  :class:`ReplicationConfig` captures those knobs (defaults
 are the paper's); the helpers run one policy or a labelled set of policies
 over the shared traces and aggregate network blocking across seeds.
 
-The parallel path is hardened against misbehaving workers: each seed's
-future gets a bounded wait (``seed_timeout``), timed-out or crashed seeds
-are retried up to ``max_seed_retries`` times (recycling the pool after a
-timeout, since the hung worker still occupies its slot), and if the pool
-itself dies (``BrokenProcessPool`` — e.g. a worker was OOM-killed) the
-remaining seeds finish serially in-process.  Every seed's fate is recorded
-in a :class:`SeedStatus`, and :class:`ReplicationOutcome` carries the full
+One executor runs every replication sweep, direct or through the lab
+scheduler (:mod:`repro.lab.scheduler`), and reports each seed as soon as it
+finishes.  Its parallel path is hardened against misbehaving workers: each
+seed's future gets a bounded wait (``seed_timeout``), timed-out or crashed
+seeds are retried up to ``max_seed_retries`` times (after a timeout the
+hung workers are terminated and the pool recycled), and if the pool itself
+dies (``BrokenProcessPool`` — e.g. a worker was OOM-killed) the remaining
+seeds finish serially in-process.  Every seed's fate is recorded in a
+:class:`SeedStatus`, and :class:`ReplicationOutcome` carries the full
 per-seed report next to the aggregate.
 """
 
@@ -56,21 +58,14 @@ def _make_trace(
 ) -> ArrivalTrace:
     """One seed's arrivals: stationary, or thinned against a workload.
 
-    The single trace-generation choke point for replications — serial path,
-    pool workers and the lab scheduler all route through it, so a workload
-    changes demand identically everywhere (and ``None`` keeps the
-    historical stationary traces bit for bit).
+    The trace-generation choke point for replications — the serial path
+    and the pool workers both route through it, so a workload changes
+    demand identically everywhere (and ``None`` keeps the historical
+    stationary traces bit for bit).
     """
     if workload is None:
         return generate_trace(traffic, duration, seed)
     return generate_workload_trace(traffic, workload, duration, seed)
-
-
-def _replication_worker(payload) -> SimulationResult:
-    """Run one seed in a worker process (module-level for picklability)."""
-    network, policy, traffic, duration, warmup, seed = payload
-    trace = generate_trace(traffic, duration, seed)
-    return simulate(network, policy, trace, warmup)
 
 
 #: Per-worker-process shared replication context, installed once by the pool
@@ -117,7 +112,8 @@ class ReplicationConfig:
     Keyword-only: construct as ``ReplicationConfig(measured_duration=...)``.
     Raises ``ValueError`` for a non-finite or non-positive measured window,
     a negative or non-finite warm-up, or an empty seed roster, none of
-    which can produce a replication.
+    which can produce a replication, and for a repeated seed, which would
+    count one replication twice.
     """
 
     measured_duration: float = 100.0
@@ -136,6 +132,8 @@ class ReplicationConfig:
             )
         if not self.seeds:
             raise ValueError("at least one replication seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"replication seeds must be distinct, got {self.seeds}")
 
     @property
     def duration(self) -> float:
@@ -229,11 +227,11 @@ class ReplicationOutcome:
 def _run_payloads_serial(
     payloads: Sequence,
     worker: Callable,
-    statuses: dict[int, SeedStatus],
-    results: dict[int, SimulationResult],
+    statuses: list[SeedStatus],
     indices: Sequence[int],
     max_seed_retries: int,
     fallback: bool,
+    complete: Callable,
 ) -> None:
     """Run the given payload indices in-process, with bounded retries."""
     for index in indices:
@@ -241,39 +239,40 @@ def _run_payloads_serial(
         while not status.completed:
             status.attempts += 1
             try:
-                elapsed, results[index] = _timed_call(worker, payloads[index])
+                elapsed, result = _timed_call(worker, payloads[index])
             except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
                 status.errors += (f"{type(exc).__name__}: {exc}",)
                 if status.attempts > max_seed_retries:
                     break
             else:
-                status.completed = True
                 status.fallback = fallback
-                status.wall_clock = elapsed
+                complete(index, elapsed, result)
 
 
 def _run_payloads_parallel(
-    payloads: Sequence,
-    worker: Callable,
     seeds: Sequence[int],
+    worker: Callable,
+    statuses: list[SeedStatus],
     seed_timeout: float | None,
     max_seed_retries: int,
     max_workers: int | None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-) -> tuple[dict[int, SimulationResult], dict[int, SeedStatus], bool]:
-    """Fan payloads over a process pool with timeouts, retries and fallback."""
-    statuses = {i: SeedStatus(seed=seeds[i]) for i in range(len(payloads))}
-    results: dict[int, SimulationResult] = {}
-    remaining = list(range(len(payloads)))
+    initargs: tuple,
+    complete: Callable,
+) -> bool:
+    """Fan seeds over a process pool with timeouts, retries and fallback.
+
+    Returns True when the pool broke and the unfinished seeds ran serially.
+    """
+    remaining = list(range(len(seeds)))
     pool_broken = False
     pool = ProcessPoolExecutor(
-        max_workers=max_workers, initializer=initializer, initargs=initargs
+        max_workers=max_workers, initializer=_install_worker_context,
+        initargs=initargs,
     )
     try:
         while remaining:
             futures = {
-                index: pool.submit(_timed_call, worker, payloads[index])
+                index: pool.submit(_timed_call, worker, seeds[index])
                 for index in remaining
             }
             next_round: list[int] = []
@@ -282,10 +281,7 @@ def _run_payloads_parallel(
                 status = statuses[index]
                 status.attempts += 1
                 try:
-                    status.wall_clock, results[index] = future.result(
-                        timeout=seed_timeout
-                    )
-                    status.completed = True
+                    elapsed, result = future.result(timeout=seed_timeout)
                 except FuturesTimeoutError:
                     # The worker is hung (or just slow): abandon the future —
                     # its process still occupies a slot, so the pool is
@@ -303,74 +299,147 @@ def _run_payloads_parallel(
                     status.errors += (f"{type(exc).__name__}: {exc}",)
                     if status.attempts <= max_seed_retries:
                         next_round.append(index)
+                else:
+                    complete(index, elapsed, result)
             if pool_broken:
                 # Salvage whatever already finished, then run the rest
                 # in-process: a broken pool degrades to serial, not to a
                 # crashed sweep.
                 for index, future in futures.items():
-                    if index in results or not future.done():
+                    if statuses[index].completed or not future.done():
                         continue
                     try:
-                        statuses[index].wall_clock, results[index] = future.result(
-                            timeout=0
-                        )
-                        statuses[index].completed = True
+                        elapsed, result = future.result(timeout=0)
                     except Exception:  # noqa: BLE001
-                        pass
+                        continue
+                    complete(index, elapsed, result)
                 unfinished = [i for i in futures if not statuses[i].completed]
-                if initializer is not None:
-                    # The serial fallback runs in this process, which never
-                    # went through the pool initializer — install the shared
-                    # context here before the worker needs it.
-                    initializer(*initargs)
+                # The serial fallback runs in this process, which never went
+                # through the pool initializer — install the shared context
+                # here before the worker needs it.
+                _install_worker_context(*initargs)
                 _run_payloads_serial(
-                    payloads, worker, statuses, results,
-                    unfinished, max_seed_retries, fallback=True,
+                    seeds, worker, statuses, unfinished, max_seed_retries,
+                    fallback=True, complete=complete,
                 )
                 break
             if recycle:
+                # Every other future of this round was collected, so the
+                # busy workers are exactly the hung ones: terminate them, or
+                # the interpreter's exit hook would wait on them forever.
+                for process in list(pool._processes.values()):
+                    process.terminate()
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = ProcessPoolExecutor(
-                    max_workers=max_workers, initializer=initializer, initargs=initargs
+                    max_workers=max_workers, initializer=_install_worker_context,
+                    initargs=initargs,
                 )
             remaining = next_round
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-    return results, statuses, pool_broken
+    return pool_broken
 
 
 def _try_batch(
     network: Network,
     policy: RoutingPolicy,
     traces: Sequence[ArrivalTrace],
-    config: ReplicationConfig,
-    statuses_map: dict[int, SeedStatus],
-    results_map: dict[int, SimulationResult],
+    warmup: float,
+    statuses: list[SeedStatus],
+    complete: Callable,
 ) -> bool:
     """Attempt the whole seed group in one lockstep batch-kernel run.
 
-    Returns True (with ``results_map``/``statuses_map`` filled) when the
-    batch kernel handled the group, False when the configuration is
-    inexpressible or the kernel errored — the caller then falls back to the
-    per-seed loop, which accepts everything.  Per-seed wall-clock is the
-    group's time split evenly: the kernel advances all seeds together, so
-    no finer attribution exists.
+    Returns True (with every seed completed) when the batch kernel handled
+    the group, False when the configuration is inexpressible or the kernel
+    errored — the caller then falls back to the per-seed loop, which accepts
+    everything.  Per-seed wall-clock is the group's time split evenly: the
+    kernel advances all seeds together, so no finer attribution exists.
     """
     if len(traces) < 2 or batch_ineligibility(policy, traces) is not None:
         return False
     start = time.perf_counter()
     try:
-        batch_results = simulate_batch(network, policy, traces, config.warmup)
+        batch_results = simulate_batch(network, policy, traces, warmup)
     except Exception:  # noqa: BLE001 - per-seed loop is the safety net
         return False
     share = (time.perf_counter() - start) / len(traces)
-    for index, (trace, result) in enumerate(zip(traces, batch_results)):
-        results_map[index] = result
-        statuses_map[index] = SeedStatus(
-            seed=trace.seed, completed=True, attempts=1,
-            wall_clock=share, backend="batch",
-        )
+    for index, result in enumerate(batch_results):
+        statuses[index].attempts = 1
+        statuses[index].backend = "batch"
+        complete(index, share, result)
     return True
+
+
+def _execute(
+    network: Network,
+    policy: RoutingPolicy,
+    traffic: TrafficMatrix,
+    config: ReplicationConfig,
+    *,
+    traces: Sequence[ArrivalTrace] | None,
+    parallel: bool,
+    max_workers: int | None,
+    seed_timeout: float | None,
+    max_seed_retries: int,
+    workload: Workload | None,
+    backend: str,
+    on_result: Callable[[SeedStatus, SimulationResult], None],
+    worker: Callable = _shared_context_worker,
+) -> tuple[list[SeedStatus], list[SimulationResult], bool, str]:
+    """The replication executor behind the runner and the lab scheduler.
+
+    Runs every seed (see :func:`run_replications_detailed` for the
+    arguments) and calls ``on_result(status, result)`` for each seed as
+    soon as it completes, with ``status.backend`` naming the engine that
+    produced it.  Returns the per-seed statuses, the completed results (both
+    in seed order), whether the pool broke, and the sweep's engine; a seed
+    that exhausts its retries appears in the statuses only.
+    """
+    backend = resolve_backend(backend)
+    per_seed_backend = backend if backend in ("fast", "reference") else "auto"
+    if not parallel and traces is None:
+        traces = [
+            _make_trace(traffic, workload, config.duration, seed)
+            for seed in config.seeds
+        ]
+    seeds = config.seeds if traces is None else [trace.seed for trace in traces]
+    statuses = [SeedStatus(seed=seed, backend=per_seed_backend) for seed in seeds]
+    results: dict[int, SimulationResult] = {}
+
+    def complete(index: int, elapsed: float, result: SimulationResult) -> None:
+        status = statuses[index]
+        status.completed, status.wall_clock = True, elapsed
+        results[index] = result
+        on_result(status, result)
+
+    pool_broken = False
+    used_batch = False
+    if traces is None:
+        pool_broken = _run_payloads_parallel(
+            seeds, worker, statuses, seed_timeout, max_seed_retries,
+            max_workers, complete=complete,
+            initargs=(network, policy, traffic, config.duration,
+                      config.warmup, workload, per_seed_backend),
+        )
+    else:
+        if backend in ("auto", "batch"):
+            used_batch = _try_batch(
+                network, policy, traces, config.warmup, statuses, complete
+            )
+        if not used_batch:
+            _run_payloads_serial(
+                traces,
+                lambda trace: simulate(
+                    network, policy, trace, config.warmup,
+                    backend=per_seed_backend,
+                ),
+                statuses, range(len(traces)), max_seed_retries,
+                fallback=False, complete=complete,
+            )
+    ordered = [results[index] for index in sorted(results)]
+    return (statuses, ordered, pool_broken,
+            "batch" if used_batch else per_seed_backend)
 
 
 def run_replications_detailed(
@@ -383,7 +452,7 @@ def run_replications_detailed(
     max_workers: int | None = None,
     seed_timeout: float | None = None,
     max_seed_retries: int = 1,
-    worker: Callable = _replication_worker,
+    worker: Callable = _shared_context_worker,
     workload: Workload | None = None,
     backend: str = "auto",
 ) -> ReplicationOutcome:
@@ -403,84 +472,31 @@ def run_replications_detailed(
 
     ``parallel=True`` fans the seeds over a process pool — results are
     bit-identical to the serial path (each seed is fully self-contained).
-    ``seed_timeout`` bounds the wait on each seed's future; a timed-out or
-    crashed seed is retried up to ``max_seed_retries`` times (the pool is
-    recycled after a timeout, since the hung worker still holds its slot;
-    the abandoned process is not killed, merely orphaned).  If the pool
-    itself breaks, the unfinished seeds run serially in-process.  ``worker``
-    is injectable for testing the failure paths; it must be a picklable
-    callable taking one payload tuple.
+    The network, policy, traffic and workload are installed once per worker
+    process, and each task is a bare seed.  ``seed_timeout`` bounds the
+    wait on each seed's future; a timed-out or crashed seed is retried up
+    to ``max_seed_retries`` times (after a timeout the pool's hung workers
+    are terminated and the pool is recycled).  If the pool itself breaks,
+    the unfinished seeds run serially in-process.  ``worker`` is injectable
+    for testing the failure paths; like the default
+    ``_shared_context_worker`` it must be a picklable callable that takes
+    one seed and may read the worker's shared context.
 
     Seeds that exhaust their retries are excluded from the aggregate and
     reported in the outcome's statuses; the sweep still completes unless
     *every* seed failed (then ``RuntimeError``).
     """
-    backend = resolve_backend(backend)
-    per_seed_backend = backend if backend in ("fast", "reference") else "auto"
-    used_batch = False
-    if parallel and traces is None:
-        if worker is _replication_worker:
-            # Default worker: ship the shared (network, policy, traffic)
-            # context once per worker process via the pool initializer, so
-            # the topology's path enumeration and the policy's protection
-            # tables are pickled per worker rather than per seed.  Payloads
-            # shrink to bare seed integers.
-            payloads = list(config.seeds)
-            results_map, statuses_map, pool_broken = _run_payloads_parallel(
-                payloads, _shared_context_worker, config.seeds,
-                seed_timeout, max_seed_retries, max_workers,
-                initializer=_install_worker_context,
-                initargs=(network, policy, traffic, config.duration,
-                          config.warmup, workload, per_seed_backend),
-            )
-        else:
-            # Injected worker (tests, custom pipelines): keep the historical
-            # self-contained payload tuples.
-            payloads = [
-                (network, policy, traffic, config.duration, config.warmup, seed)
-                for seed in config.seeds
-            ]
-            results_map, statuses_map, pool_broken = _run_payloads_parallel(
-                payloads, worker, config.seeds, seed_timeout, max_seed_retries, max_workers
-            )
-    else:
-        if traces is None:
-            traces = [
-                _make_trace(traffic, workload, config.duration, seed)
-                for seed in config.seeds
-            ]
-        payloads = list(traces)
-        seeds = [trace.seed for trace in traces]
-        statuses_map = {i: SeedStatus(seed=seeds[i]) for i in range(len(payloads))}
-        results_map = {}
-        if backend in ("auto", "batch"):
-            used_batch = _try_batch(
-                network, policy, traces, config, statuses_map, results_map
-            )
-        if not used_batch:
-            _run_payloads_serial(
-                payloads,
-                lambda trace: simulate(
-                    network, policy, trace, config.warmup,
-                    backend=per_seed_backend,
-                ),
-                statuses_map, results_map,
-                range(len(payloads)), max_seed_retries, fallback=False,
-            )
-        pool_broken = False
-    statuses = [statuses_map[i] for i in sorted(statuses_map)]
-    results = [results_map[i] for i in sorted(results_map)]
+    statuses, results, pool_broken, used = _execute(
+        network, policy, traffic, config, traces=traces, parallel=parallel,
+        max_workers=max_workers, seed_timeout=seed_timeout,
+        max_seed_retries=max_seed_retries, worker=worker, workload=workload,
+        backend=backend, on_result=lambda status, result: None,
+    )
     if not results:
         report = "; ".join(s.describe() for s in statuses)
         raise RuntimeError(f"every replication seed failed: {report}")
-    for status in statuses:
-        if status.backend is None:
-            status.backend = per_seed_backend
     stat = aggregate([result.network_blocking for result in results])
-    return ReplicationOutcome(
-        stat, results, statuses, pool_broken,
-        backend="batch" if used_batch else per_seed_backend,
-    )
+    return ReplicationOutcome(stat, results, statuses, pool_broken, backend=used)
 
 
 def run_replications(

@@ -29,10 +29,12 @@ class LabConfig:
         (``events/<study-key>.jsonl``); pass an explicit path to aggregate
         several studies into one stream.
     ``max_jobs``
-        Execute at most this many *simulated* jobs (cache hits are free),
-        then stop and checkpoint.  ``None`` = run to completion.  This is
-        the deterministic stand-in for an interrupt: the CI smoke test and
-        the resume tests use it to stop a study halfway.
+        Cap on the jobs one pass attempts (cache hits are free; a job that
+        fails after its retries counts), then stop and checkpoint.  The cap
+        is applied before a policy's jobs start, so a pool never simulates
+        past it.  ``None`` = run to completion.  This is the deterministic
+        stand-in for an interrupt: the resume tests use it to stop a study
+        halfway.
     ``progress_every``
         Emit a ``progress`` event (ETA, throughput) after every N finished
         jobs.

@@ -16,28 +16,24 @@ bit-identical to an uninterrupted one, and a repeated study completes with
 discipline survives because traces are regenerated from the seed, never
 stored).
 
-Parallel scheduling reuses the hardened runner's pool-initializer worker
-context (:func:`repro.experiments.runner._install_worker_context`): the
-network/policy/traffic are pickled once per worker, payloads are bare
-seeds, and per-job compute time is measured inside the worker for ETA
-telemetry.
+Execution is the replication runner's: each policy's pending jobs go to
+the executor behind :func:`repro.experiments.runner.run_replications_detailed`
+as one seed group, so the lab gets the same lockstep batch kernel, pool
+timeouts, retries and serial fallback as a direct study.  The executor
+reports each seed as it finishes, and the scheduler checkpoints it there.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..experiments.runner import (
     PAPER_CONFIG,
     ReplicationConfig,
     ReplicationOutcome,
     SeedStatus,
-    _install_worker_context,
-    _shared_context_worker,
-    _timed_call,
+    _execute,
 )
 from ..sim.metrics import aggregate
 from .config import LabConfig
@@ -261,14 +257,15 @@ class _StudyRun:
             else remaining / throughput,
         )
 
-    @property
-    def budget_left(self) -> bool:
+    def within_budget(self, group: list[JobSpec]) -> list[JobSpec]:
+        """The leading jobs of ``group`` this pass may still attempt."""
         if self.lab.max_jobs is None:
-            return True
-        return self.report.simulated < self.lab.max_jobs
+            return group
+        attempted = self.report.simulated + self.report.failed
+        return group[:max(0, self.lab.max_jobs - attempted)]
 
 
-def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str = "auto") -> dict:
+def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str) -> dict:
     # The backend is recorded for provenance, never hashed into job_key:
     # every engine is bit-identical, so results produced by one backend must
     # keep cache-hitting runs requested under another.
@@ -283,151 +280,47 @@ def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str = "auto") -
     }
 
 
-def _simulate_job(scenario, policy_obj, config: ReplicationConfig, seed: int,
-                  backend: str = "auto"):
-    """One job, in-process: regenerate the trace, simulate, time it."""
-    from ..sim.simulator import simulate
+def _run_group(run, scenario, scenario_sig, config_sig, config, policy_name,
+               group, *, parallel, max_workers, seed_timeout,
+               max_seed_retries, backend) -> None:
+    """Run one policy's pending jobs as one seed group of the runner's executor.
 
-    def worker(seed):
-        trace = scenario.make_trace(config.duration, seed)
-        return simulate(scenario.network, policy_obj, trace, config.warmup,
-                        backend=backend)
-
-    return _timed_call(worker, seed)
-
-
-def _run_group_batch(run, scenario, scenario_sig, config_sig, config,
-                     policy_name, group) -> bool | None:
-    """Try one policy's pending seeds as a single lockstep batch-kernel run.
-
-    Returns ``True``/``False`` with the usual budget meaning when the batch
-    kernel handled the group, ``None`` when it could not (inexpressible
-    configuration, a lone seed, or a kernel error) — the caller then falls
-    back to the per-seed serial path.  Respects ``max_jobs`` by truncating
-    the group to the remaining budget; the cut seeds stay pending for the
-    resume pass, exactly as the serial scheduler leaves them.
+    Each seed is checkpointed as soon as the executor reports it, with the
+    engine that produced it as provenance; seeds that exhaust their retries
+    are recorded as failed afterwards.  Jobs still ``running`` when the
+    executor returns or raises go back to ``pending``.
     """
-    from ..sim.batch import batch_ineligibility, simulate_batch
+    jobs = {job.seed: job for job in group}
+    traces = None if parallel else [
+        scenario.make_trace(config.duration, seed) for seed in jobs
+    ]
 
-    budget = None
-    if run.lab.max_jobs is not None:
-        budget = max(0, run.lab.max_jobs - run.report.simulated)
-        if budget == 0:
-            return False
-    truncated = budget is not None and budget < len(group)
-    batch_group = group[:budget] if truncated else list(group)
-    if len(batch_group) < 2:
-        return None
-    policy_obj = scenario.build_policy(policy_name)
-    traces = [scenario.make_trace(config.duration, job.seed)
-              for job in batch_group]
-    if batch_ineligibility(policy_obj, traces) is not None:
-        return None
-    for job in batch_group:
-        run.record_started(job, worker="batch")
-    start = time.perf_counter()
-    try:
-        results = simulate_batch(
-            scenario.network, policy_obj, traces, config.warmup
-        )
-    except Exception:  # noqa: BLE001 - the serial path is the safety net
-        for job in batch_group:
-            run.job_entry(job)["status"] = "pending"
-        return None
-    share = (time.perf_counter() - start) / len(batch_group)
-    for job, result in zip(batch_group, results):
+    def checkpoint(status, result):
+        job = jobs[status.seed]
         run.store.put_result(
             job.key, result,
-            _provenance(scenario_sig, config_sig, job, backend="batch"),
+            _provenance(scenario_sig, config_sig, job, status.backend),
         )
-        run.record_finished(job, share)
-    return not truncated
+        run.record_finished(job, status.wall_clock)
 
-
-def _run_group_serial(run, scenario, scenario_sig, config_sig, config,
-                      policy_name, group, max_seed_retries, backend="auto"):
-    policy_obj = scenario.build_policy(policy_name)
     for job in group:
-        if not run.budget_left:
-            return False
-        run.record_started(job, worker="serial")
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                elapsed, result = _simulate_job(
-                    scenario, policy_obj, config, job.seed, backend=backend
-                )
-            except Exception as exc:  # noqa: BLE001 - report, keep scheduling
-                if attempts > max_seed_retries:
-                    run.record_failed(job, f"{type(exc).__name__}: {exc}", attempts)
-                    break
-            else:
-                run.store.put_result(
-                    job.key, result,
-                    _provenance(scenario_sig, config_sig, job, backend=backend),
-                )
-                run.record_finished(job, elapsed)
-                break
-    return True
-
-
-def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
-                        policy_name, group, max_workers, max_seed_retries,
-                        backend="auto"):
-    """Fan one policy's pending seeds over the shared-context process pool."""
-    policy_obj = scenario.build_policy(policy_name)
-    attempts: dict[str, int] = {job.key: 0 for job in group}
-    queue = list(group)
-    budget_exhausted = False
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_install_worker_context,
-        initargs=(scenario.network, policy_obj, scenario.traffic_matrix,
-                  config.duration, config.warmup,
-                  scenario.resolved_workload(config.duration), backend),
-    ) as pool:
-        inflight = {}
-        workers = max_workers or (os.cpu_count() or 1)
-
-        def submit_next():
-            while queue and len(inflight) < workers:
-                job = queue.pop(0)
-                attempts[job.key] += 1
-                run.record_started(job, worker="pool")
-                inflight[pool.submit(_timed_call, _shared_context_worker, job.seed)] = job
-
-        submit_next()
-        while inflight:
-            done, __ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                job = inflight.pop(future)
-                try:
-                    elapsed, result = future.result()
-                except Exception as exc:  # noqa: BLE001 - retry, then report
-                    if attempts[job.key] <= max_seed_retries:
-                        queue.append(job)
-                    else:
-                        run.record_failed(
-                            job, f"{type(exc).__name__}: {exc}", attempts[job.key]
-                        )
-                else:
-                    run.store.put_result(
-                        job.key, result,
-                        _provenance(scenario_sig, config_sig, job, backend=backend),
-                    )
-                    run.record_finished(job, elapsed)
-            if not run.budget_left:
-                budget_exhausted = True
-                queue.clear()
-                for future, job in list(inflight.items()):
-                    if future.cancel():
-                        run.job_entry(job)["status"] = "pending"
-                        del inflight[future]
-                # Futures already running cannot be cancelled; let them
-                # finish and checkpoint rather than discarding real work.
-            submit_next()
-    return not budget_exhausted
+        run.record_started(job, worker="pool" if parallel else "serial")
+    try:
+        statuses, *__ = _execute(
+            scenario.network, scenario.build_policy(policy_name),
+            scenario.traffic_matrix, replace(config, seeds=tuple(jobs)),
+            traces=traces, parallel=parallel, max_workers=max_workers,
+            seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
+            workload=scenario.resolved_workload(config.duration),
+            backend=backend, on_result=checkpoint,
+        )
+    finally:
+        for job in group:
+            if run.job_entry(job)["status"] == "running":
+                run.job_entry(job)["status"] = "pending"
+    for status in statuses:
+        if not status.completed:
+            run.record_failed(jobs[status.seed], status.errors[-1], status.attempts)
 
 
 def run_lab_study(
@@ -438,6 +331,7 @@ def run_lab_study(
     lab: LabConfig | None = None,
     parallel: bool = False,
     max_workers: int | None = None,
+    seed_timeout: float | None = None,
     max_seed_retries: int = 1,
     backend: str = "auto",
 ):
@@ -446,23 +340,24 @@ def run_lab_study(
     The public entry point behind ``repro.api.run_study(..., lab=...)``.
     Returns the same :class:`~repro.api.StudyResult` a direct run produces
     — bit-identical, whatever mix of cache hits and fresh simulation served
-    it — with the pass's :class:`LabRunReport` attached as ``.lab``
-    (a :class:`~repro.api.BatchResult` when the lockstep batch kernel
-    produced any of the results, this pass or a cached earlier one).
+    it — with the pass's :class:`LabRunReport` attached as ``.lab``.
 
-    ``backend`` selects the execution engine.  Under ``"auto"``/``"batch"``
-    the serial scheduler runs each policy's pending seeds as one lockstep
-    batch-kernel group when the configuration allows, falling back per seed
-    otherwise; ``"fast"``/``"reference"`` force the per-seed loops.  Job
-    keys never include the backend — every engine is bit-identical — so
-    cached results keep hitting whatever backend produced them; the engine
-    is recorded in each stored result's provenance instead.
+    Each policy's pending jobs run as one seed group through the
+    replication runner's executor, with the arguments of
+    :func:`~repro.experiments.runner.run_replications_detailed`: under
+    ``"auto"``/``"batch"`` the serial path runs the group in one lockstep
+    batch-kernel call when the configuration allows, falling back per seed
+    otherwise, and ``parallel=True`` uses the runner's pool with its
+    ``seed_timeout``, retries and serial fallback.  Job keys never include
+    the backend — every engine is bit-identical — so cached results keep
+    hitting whatever backend produced them; the engine is recorded in each
+    stored result's provenance instead.
 
     Raises :class:`LabInterrupted` when the pass stops early (``max_jobs``
     budget or ``KeyboardInterrupt``); completed jobs are already
     checkpointed, so the identical call resumes the study.
     """
-    from ..api import BatchResult, StudyResult
+    from ..api import StudyResult
     from .._compat import resolve_backend
 
     backend = resolve_backend(backend)
@@ -508,26 +403,15 @@ def run_lab_study(
         finished_all = True
         for name in names:
             group = [job for job in pending if job.policy == name]
-            if not group:
-                continue
-            if parallel:
-                ok = _run_group_parallel(
-                    run, scenario, scenario_sig, config_sig, config,
-                    name, group, max_workers, max_seed_retries, backend=per_seed,
+            allowed = run.within_budget(group)
+            if allowed:
+                _run_group(
+                    run, scenario, scenario_sig, config_sig, config, name,
+                    allowed, parallel=parallel, max_workers=max_workers,
+                    seed_timeout=seed_timeout,
+                    max_seed_retries=max_seed_retries, backend=backend,
                 )
-            else:
-                ok = None
-                if backend in ("auto", "batch"):
-                    ok = _run_group_batch(
-                        run, scenario, scenario_sig, config_sig, config,
-                        name, group,
-                    )
-                if ok is None:
-                    ok = _run_group_serial(
-                        run, scenario, scenario_sig, config_sig, config,
-                        name, group, max_seed_retries, backend=per_seed,
-                    )
-            if not ok:
+            if len(allowed) < len(group):
                 finished_all = False
                 break
     except KeyboardInterrupt:
@@ -582,9 +466,4 @@ def run_lab_study(
         elapsed=run.report.elapsed,
     )
     bus.close()
-    cls = (
-        BatchResult
-        if any(outcome.backend == "batch" for outcome in outcomes.values())
-        else StudyResult
-    )
-    return cls(outcomes=outcomes, config=config, lab=run.report)
+    return StudyResult(outcomes=outcomes, config=config, lab=run.report)

@@ -6,7 +6,8 @@ must match ``backend="reference"`` bit for bit — on stationary NSFNet
 traffic, on adversarial workload traces, and for each supported routing
 discipline (threshold, DAR, power-of-d).  The plumbing half covers the
 ``backend=`` redesign: fault planes fall back transparently, seed order
-cannot matter, ``run_study`` surfaces a :class:`BatchResult`, and the lab
+cannot matter, every :class:`StudyResult` names the backend behind each
+policy and carries the per-seed arrays whichever engine ran, and the lab
 records the producing backend in provenance without disturbing job keys
 (so batch-produced results keep serving later runs from cache).
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import BatchResult, LabConfig, Scenario, StudyResult, run_study
+from repro.api import LabConfig, Scenario, StudyResult, run_study
 from repro.experiments.runner import ReplicationConfig, run_replications_detailed
 from repro.routing.alternate import (
     ControlledAlternateRouting,
@@ -193,14 +194,12 @@ class TestBatchResult:
 
     def test_run_study_returns_batch_result(self):
         study = run_study(self._scenario(), config=self.QUICK)
-        assert isinstance(study, BatchResult)
         assert study.outcome.backend == "batch"
         assert study.backends == {"controlled": "batch"}
 
     def test_forced_per_seed_backend_returns_plain_study(self):
         study = run_study(self._scenario(), config=self.QUICK, backend="fast")
         assert isinstance(study, StudyResult)
-        assert not isinstance(study, BatchResult)
         assert study.outcome.backend == "fast"
 
     def test_batch_and_fast_studies_bit_identical(self):
@@ -211,8 +210,7 @@ class TestBatchResult:
 
     def test_per_seed_and_matrices(self):
         study = run_study(self._scenario(), config=self.QUICK)
-        per_seed = study.per_seed()
-        assert per_seed == study.outcome.results
+        per_seed = study.outcome.results
         assert study.seeds() == self.QUICK.seeds
         blocking = study.blocking_by_seed()
         assert blocking.shape == (len(self.QUICK.seeds),)
@@ -222,6 +220,23 @@ class TestBatchResult:
         assert offered.shape == blocked.shape
         assert offered.shape[0] == len(self.QUICK.seeds)
         assert np.array_equal(offered[1], per_seed[1].offered)
+
+    @pytest.mark.parametrize("lab", [False, True], ids=["direct", "lab"])
+    def test_per_seed_study_exposes_seed_arrays(self, tmp_path, lab):
+        study = run_study(
+            self._scenario(), config=self.QUICK, backend="fast",
+            lab=LabConfig(store=tmp_path) if lab else None,
+        )
+        results = study.outcome.results
+        assert study.backends == {"controlled": "fast"}
+        assert study.seeds() == self.QUICK.seeds
+        assert study.blocking_by_seed().tolist() == [
+            r.network_blocking for r in results
+        ]
+        assert np.array_equal(study.offered_matrix(),
+                              np.stack([r.offered for r in results]))
+        assert np.array_equal(study.blocked_matrix(),
+                              np.stack([r.blocked for r in results]))
 
 
 class TestLabProvenance:
@@ -242,7 +257,7 @@ class TestLabProvenance:
         lab = LabConfig(store=tmp_path / "store")
         scenario = self._scenario()
         first = run_study(scenario, config=self.QUICK, lab=lab)
-        assert isinstance(first, BatchResult)
+        assert first.outcome.backend == "batch"
         assert first.lab.simulated == len(self.QUICK.seeds)
 
         store = ResultStore(tmp_path / "store")

@@ -6,13 +6,17 @@ The headline guarantees under test:
 * running the identical study twice gives 100% cache hits and zero
   simulation work on the second pass, with bit-identical results;
 * a study interrupted partway (``max_jobs``) and then resumed merges to
-  exactly the uninterrupted result;
+  exactly the uninterrupted result, serially and on the process pool;
+* an interrupted pass leaves no job marked ``running``, and a pool that
+  loses a worker still completes the study;
 * overlapping studies share cached replications.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -171,18 +175,59 @@ class TestScheduler:
             assert_results_identical(a, b)
         assert all(s.cached for s in second.outcome.statuses)
 
-    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path):
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "pool"])
+    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path, parallel):
         direct = run_study(SCENARIO, config=CONFIG)
         lab_store = tmp_path / "store"
         with pytest.raises(LabInterrupted) as excinfo:
-            run_study(SCENARIO, config=CONFIG,
+            run_study(SCENARIO, config=CONFIG, parallel=parallel, max_workers=2,
                       lab=LabConfig(store=lab_store, max_jobs=1))
         assert excinfo.value.report.simulated == 1
-        resumed = run_study(SCENARIO, config=CONFIG, lab=LabConfig(store=lab_store))
+        resumed = run_study(SCENARIO, config=CONFIG, parallel=parallel,
+                            max_workers=2, lab=LabConfig(store=lab_store))
         assert resumed.lab.cache_hits == 1
         assert resumed.lab.simulated == len(CONFIG.seeds) - 1
         assert resumed.stat == direct.stat
         for a, b in zip(direct.outcome.results, resumed.outcome.results):
+            assert_results_identical(a, b)
+
+    def test_interrupt_leaves_no_job_running(self, tmp_path, monkeypatch):
+        put_result = ResultStore.put_result
+        calls = []
+
+        def interrupt_second_put(store, *args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return put_result(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "put_result", interrupt_second_put)
+        with pytest.raises(LabInterrupted) as excinfo:
+            run_study(SCENARIO, config=CONFIG, lab=LabConfig(store=tmp_path))
+        manifest = ResultStore(tmp_path).load_manifest(excinfo.value.report.study)
+        states = [entry["status"] for entry in manifest["jobs"].values()]
+        assert "running" not in states
+        assert states.count("done") == 1
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched simulator reaches forked workers only")
+    def test_pool_losing_a_worker_still_completes(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
+
+        simulate_in_process = runner.simulate
+
+        def die_in_pool_worker(*args, **kwargs):
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)
+            return simulate_in_process(*args, **kwargs)
+
+        direct = run_study(SCENARIO, config=CONFIG)
+        monkeypatch.setattr(runner, "simulate", die_in_pool_worker)
+        labbed = run_study(SCENARIO, config=CONFIG, parallel=True, max_workers=2,
+                           lab=LabConfig(store=tmp_path))
+        assert labbed.lab.simulated == len(CONFIG.seeds)
+        assert labbed.stat == direct.stat
+        for a, b in zip(direct.outcome.results, labbed.outcome.results):
             assert_results_identical(a, b)
 
     def test_overlapping_studies_share_replications(self, tmp_path):

@@ -1,9 +1,16 @@
-"""Tests for the hardened replication runner: timeouts, retries, fallback."""
+"""Tests for the hardened replication runner: timeouts, retries, fallback.
+
+Injected workers take a bare seed and run it against the pool's shared
+context through ``_shared_context_worker``, exactly as the default worker
+does.
+"""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +20,7 @@ from repro.experiments.runner import (
     ReplicationConfig,
     run_replications,
     run_replications_detailed,
-    _replication_worker,
+    _shared_context_worker,
 )
 from repro.routing.single_path import SinglePathRouting
 from repro.topology.generators import line
@@ -34,36 +41,53 @@ def _sentinel(seed: int) -> Path:
     return Path(os.environ["REPRO_FLAKY_DIR"]) / f"seed-{seed}"
 
 
-def _flaky_worker(payload):
+def _flaky_worker(seed):
     """Crash each seed's first attempt (file sentinel), succeed after."""
-    seed = payload[-1]
     sentinel = _sentinel(seed)
     if not sentinel.exists():
         sentinel.touch()
         raise RuntimeError("injected first-attempt failure")
-    return _replication_worker(payload)
+    return _shared_context_worker(seed)
 
 
-def _always_failing_worker(payload):
+def _always_failing_worker(seed):
     raise RuntimeError("injected permanent failure")
 
 
-def _hang_then_fast_worker(payload):
+def _hang_then_fast_worker(seed):
     """Hang seed 1's first attempt long enough to trip the seed timeout."""
-    seed = payload[-1]
     if seed == 1:
         sentinel = _sentinel(seed)
         if not sentinel.exists():
             sentinel.touch()
             time.sleep(6.0)
-    return _replication_worker(payload)
+    return _shared_context_worker(seed)
 
 
-def _pool_killing_worker(payload):
+def _pool_killing_worker(seed):
     """Die hard in a pool worker (breaks the pool); compute fine in-process."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    return _replication_worker(payload)
+    return _shared_context_worker(seed)
+
+
+def _hung_worker(seed):
+    """Hang seed 1 for an hour: only terminating its process ends it."""
+    if seed == 1:
+        time.sleep(3600.0)
+    return _shared_context_worker(seed)
+
+
+def hung_sweep() -> None:
+    """Time out a hung seed without retries and print the failed seeds."""
+    network, policy, traffic = _fixture()
+    outcome = run_replications_detailed(
+        network, policy, traffic,
+        ReplicationConfig(measured_duration=15.0, warmup=5.0, seeds=(0, 1)),
+        parallel=True, max_workers=2,
+        seed_timeout=1.0, max_seed_retries=0, worker=_hung_worker,
+    )
+    print(outcome.failed_seeds)
 
 
 class TestHardenedRunner:
@@ -145,10 +169,30 @@ class TestHardenedRunner:
         reference, __ = run_replications(network, policy, traffic, CONFIG)
         assert outcome.stat == reference
 
+    def test_timed_out_worker_does_not_outlive_the_sweep(self):
+        # The interpreter's exit hook joins every pool worker still alive,
+        # so a hung worker the sweep abandoned would block exit forever.
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_runner_hardening import hung_sweep; hung_sweep()"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "(1,)"
 
-def _half_failing_worker(payload):
+
+class TestReplicationConfig:
+    @pytest.mark.parametrize("seeds", [(), (0, 0)], ids=["empty", "repeated"])
+    def test_rejects_seed_rosters_without_distinct_seeds(self, seeds):
+        with pytest.raises(ValueError, match="seed"):
+            ReplicationConfig(measured_duration=15.0, seeds=seeds)
+
+
+def _half_failing_worker(seed):
     """Fail odd seeds permanently, run even seeds normally."""
-    seed = payload[-1]
     if seed % 2:
         raise RuntimeError("odd seeds always fail")
-    return _replication_worker(payload)
+    return _shared_context_worker(seed)

@@ -1,16 +1,18 @@
 #!/usr/bin/env python
 """CI smoke test for the lab subsystem's crash-resume guarantee.
 
-Runs the same tiny study three ways and cross-checks them:
+Runs one uninterrupted baseline of a tiny study (fresh store, ``lab run
+--json``), then the interrupt-and-resume drill twice, in-process and on a
+two-worker pool (``--workers 2``):
 
-1. an uninterrupted baseline run (fresh store, ``lab run --json``);
-2. a run in a second store that is killed with SIGINT once some — but
-   not all — replications have been checkpointed;
-3. ``lab resume`` on the interrupted store.
+1. a run in its own store is killed with SIGINT once some — but not all —
+   replications have been checkpointed;
+2. ``lab resume`` finishes the interrupted store.
 
-The resumed study must report cache hits for every checkpointed job and
+The interrupted store's manifest must mark no job ``running``, and the
+resumed study must report cache hits for every checkpointed job and
 produce per-policy blocking values bit-identical to the baseline.  The
-JSONL event logs from both stores are left in the chosen workdir so CI
+JSONL event logs from every store are left in the chosen workdir so CI
 can upload them as artifacts.
 
 Usage: PYTHONPATH=src python tools/lab_smoke.py [--workdir DIR]
@@ -67,10 +69,20 @@ def count_objects(store: Path) -> int:
     return sum(1 for __ in objects.rglob("*.json"))
 
 
-def interrupted_run(store: Path, duration: float, timeout: float = 120.0) -> int:
+def running_jobs(store: Path) -> int:
+    """Jobs that the store's manifests still mark as running."""
+    return sum(
+        entry["status"] == "running"
+        for manifest in (store / "studies").glob("*.json")
+        for entry in json.loads(manifest.read_text())["jobs"].values()
+    )
+
+
+def interrupted_run(store: Path, duration: float, workers: list[str],
+                    timeout: float = 120.0) -> int:
     """Start the study, SIGINT it after >=2 checkpoints, return the count."""
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *STUDY_ARGS,
+        [sys.executable, "-m", "repro.cli", *STUDY_ARGS, *workers,
          "--duration", str(duration), "--store", str(store)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         env=cli_env(), cwd=REPO,
@@ -97,54 +109,41 @@ def interrupted_run(store: Path, duration: float, timeout: float = 120.0) -> int
             f"interrupt was not mid-study: {checkpointed}/{TOTAL_JOBS} "
             "replications checkpointed"
         )
+    running = running_jobs(store)
+    if running:
+        raise SystemExit(
+            f"interrupted run left {running} jobs marked running in its manifest"
+        )
     return checkpointed
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workdir", type=Path, default=Path("lab-smoke-artifacts"))
-    parser.add_argument("--duration", type=float, default=150.0,
-                        help="simulated duration per replication")
-    args = parser.parse_args()
-
-    workdir = args.workdir.resolve()
-    if workdir.exists():
-        shutil.rmtree(workdir)
-    workdir.mkdir(parents=True)
-    baseline_store = workdir / "baseline-store"
-    crash_store = workdir / "crash-store"
-
-    print("[1/3] uninterrupted baseline run")
-    completed = run_cli(STUDY_ARGS + ["--duration", str(args.duration),
-                                      "--store", str(baseline_store), "--json"])
-    if completed.returncode != 0:
-        print(completed.stdout, completed.stderr, sep="\n", file=sys.stderr)
-        raise SystemExit("baseline run failed")
-    baseline = study_summary(completed)
-    print(f"      {baseline['simulated']} replications simulated")
-
-    print("[2/3] interrupted run (SIGINT after >=2 checkpoints)")
+def drill(crash_store: Path, duration: float, workers: list[str],
+          baseline: dict) -> None:
+    """Interrupt the study in ``crash_store``, resume it, compare to baseline."""
+    print("      interrupted run (SIGINT after >=2 checkpoints)")
     checkpointed = -1
-    duration = args.duration
+    attempted = duration
     for attempt in range(3):
         if crash_store.exists():
             shutil.rmtree(crash_store)
-        checkpointed = interrupted_run(crash_store, duration)
+        checkpointed = interrupted_run(crash_store, attempted, workers)
         if checkpointed > 0:
             break
-        duration *= 4  # run finished too quickly to interrupt: slow it down
-        print(f"      too fast to interrupt; retrying with duration={duration}")
+        attempted *= 4  # run finished too quickly to interrupt: slow it down
+        print(f"      too fast to interrupt; retrying with duration={attempted}")
     if checkpointed <= 0:
         raise SystemExit("could not interrupt the study mid-way")
-    print(f"      killed with {checkpointed}/{TOTAL_JOBS} replications checkpointed")
-    if duration != args.duration:
+    print(f"      killed with {checkpointed}/{TOTAL_JOBS} replications "
+          "checkpointed, none left running")
+    if attempted != duration:
         raise SystemExit(
             "interrupted run used a different duration than the baseline; "
             "re-run with a larger --duration"
         )
 
-    print("[3/3] resume and compare against the baseline")
-    completed = run_cli(["lab", "resume", "--store", str(crash_store), "--json"])
+    print("      resume and compare against the baseline")
+    completed = run_cli(["lab", "resume", "--store", str(crash_store),
+                         *workers, "--json"])
     if completed.returncode != 0:
         print(completed.stdout, completed.stderr, sep="\n", file=sys.stderr)
         raise SystemExit("resume failed")
@@ -162,10 +161,41 @@ def main() -> int:
                 f"policy {policy!r}: resumed blocking values differ from "
                 "the uninterrupted baseline"
             )
-
-    print("OK: resumed study is bit-identical to the uninterrupted baseline "
+    print("      resumed study is bit-identical to the baseline "
           f"({resumed['cache_hits']} cache hits + {resumed['simulated']} simulated)")
-    print(f"event logs: {baseline_store / 'events'} and {crash_store / 'events'}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--workdir", type=Path, default=Path("lab-smoke-artifacts"))
+    parser.add_argument("--duration", type=float, default=150.0,
+                        help="simulated duration per replication")
+    args = parser.parse_args()
+
+    workdir = args.workdir.resolve()
+    if workdir.exists():
+        shutil.rmtree(workdir)
+    workdir.mkdir(parents=True)
+    baseline_store = workdir / "baseline-store"
+
+    print("[1/3] uninterrupted baseline run")
+    completed = run_cli(STUDY_ARGS + ["--duration", str(args.duration),
+                                      "--store", str(baseline_store), "--json"])
+    if completed.returncode != 0:
+        print(completed.stdout, completed.stderr, sep="\n", file=sys.stderr)
+        raise SystemExit("baseline run failed")
+    baseline = study_summary(completed)
+    print(f"      {baseline['simulated']} replications simulated")
+
+    drills = [("in-process", "crash-store", []),
+              ("2-worker pool", "crash-store-pool", ["--workers", "2"])]
+    for step, (label, name, workers) in enumerate(drills, start=2):
+        print(f"[{step}/3] interrupt-and-resume drill, {label}")
+        drill(workdir / name, args.duration, workers, baseline)
+
+    print("OK: both resumed studies are bit-identical to the uninterrupted "
+          "baseline")
+    print(f"event logs: {workdir}/*/events")
     return 0
 
 
