@@ -26,7 +26,9 @@ from repro.experiments.runner import ReplicationConfig
 
 _REPO = Path(__file__).resolve().parent.parent
 # bench_perf_core.py times the analysis kernels against the loop oracles in
-# tests/oracles, which import as ``tests.oracles`` from the repository root.
+# tests/oracles and bench_cluster_throughput.py checks the pipelined cluster
+# against its wave oracle there; they import as ``tests.oracles`` from the
+# repository root.
 if str(_REPO) not in sys.path:
     sys.path.insert(0, str(_REPO))
 

@@ -790,8 +790,10 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     verified = None
     if args.mode == "ordered":
         # Ordered mode promises bit-equivalence with the single-process
-        # engine; pipelined mode reorders concurrent batches, so there is
-        # no oracle to check against.
+        # engine.  Pipelined mode decides each batch as one wave, whose
+        # admissions run in rounds rather than in request order, so its
+        # blocking differs from the engine's and there is no engine replay
+        # to compare with.
         reference = replay_trace(
             RequestEngine(network, policy), trace, warmup=args.warmup
         )
@@ -833,7 +835,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             + ("decisions match bit for bit" if verified else "MISMATCH")
         )
     else:
-        print("engine equivalence: skipped (pipelined mode reorders batches)")
+        print("engine equivalence: skipped (pipelined mode decides each batch "
+              "as one wave, so its blocking differs from the engine's)")
     if verified is False or not clean:
         return 4
     return 0
@@ -1074,7 +1077,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cluster.add_argument("--mode", choices=("ordered", "pipelined"),
                                default="ordered",
                                help="ordered is engine-bit-identical; "
-                                    "pipelined overlaps waves for throughput")
+                                    "pipelined decides each --batch as one "
+                                    "wave, so blocking differs from the "
+                                    "engine's")
     serve_cluster.add_argument("--duration", type=_positive_float, default=20.0,
                                help="measured trace time units")
     serve_cluster.add_argument("--warmup", type=_non_negative_float, default=5.0)

@@ -205,7 +205,9 @@ class _StudyRun:
         )
 
     def record_started(self, job: JobSpec, worker: str) -> None:
-        self.job_entry(job)["status"] = "running"
+        # Only an event: a manifest saved while the job runs keeps it
+        # ``pending``, so a pass killed between two saves leaves no job
+        # marked as held by a process that no longer exists.
         self.bus.emit(
             "job_started", study=self.skey, job=job.key,
             policy=job.policy, seed=job.seed, worker=worker,
@@ -287,8 +289,8 @@ def _run_group(run, scenario, scenario_sig, config_sig, config, policy_name,
 
     Each seed is checkpointed as soon as the executor reports it, with the
     engine that produced it as provenance; seeds that exhaust their retries
-    are recorded as failed afterwards.  Jobs still ``running`` when the
-    executor returns or raises go back to ``pending``.
+    are recorded as failed afterwards.  Jobs not yet reported stay
+    ``pending``.
     """
     jobs = {job.seed: job for job in group}
     traces = None if parallel else [
@@ -305,19 +307,14 @@ def _run_group(run, scenario, scenario_sig, config_sig, config, policy_name,
 
     for job in group:
         run.record_started(job, worker="pool" if parallel else "serial")
-    try:
-        statuses, *__ = _execute(
-            scenario.network, scenario.build_policy(policy_name),
-            scenario.traffic_matrix, replace(config, seeds=tuple(jobs)),
-            traces=traces, parallel=parallel, max_workers=max_workers,
-            seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
-            workload=scenario.resolved_workload(config.duration),
-            backend=backend, on_result=checkpoint,
-        )
-    finally:
-        for job in group:
-            if run.job_entry(job)["status"] == "running":
-                run.job_entry(job)["status"] = "pending"
+    statuses, *__ = _execute(
+        scenario.network, scenario.build_policy(policy_name),
+        scenario.traffic_matrix, replace(config, seeds=tuple(jobs)),
+        traces=traces, parallel=parallel, max_workers=max_workers,
+        seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
+        workload=scenario.resolved_workload(config.duration),
+        backend=backend, on_result=checkpoint,
+    )
     for status in statuses:
         if not status.completed:
             run.record_failed(jobs[status.seed], status.errors[-1], status.attempts)

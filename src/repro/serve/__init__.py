@@ -21,21 +21,13 @@ testing recovery (:mod:`~repro.serve.chaos`).
 """
 
 from .chaos import ChaosConfig, MessageChaos
-from .cluster import (
-    ClusterClient,
-    ClusterConfig,
-    ClusterRouter,
-    ClusterServer,
-    ReservationJournal,
-)
+from .cluster import ClusterConfig, ClusterRouter, ReservationJournal
 from .engine import AdmitRequest, BatchConfig, Decision, ReleaseRequest, RequestEngine
 from .loadgen import (
     ReplayReport,
     aggregate_decisions,
-    measure_cluster_throughput,
     measure_overload,
     measure_throughput,
-    partition_requests,
     replay_trace,
     replay_trace_cluster,
     replay_trace_socket,
@@ -76,15 +68,11 @@ __all__ = [
     "measure_overload",
     "ClusterConfig",
     "ClusterRouter",
-    "ClusterServer",
-    "ClusterClient",
     "ReservationJournal",
     "ChaosConfig",
     "MessageChaos",
     "partition_links",
-    "partition_requests",
     "replay_trace_cluster",
-    "measure_cluster_throughput",
     "MetricsRegistry",
     "Counter",
     "Gauge",

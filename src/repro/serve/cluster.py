@@ -1,4 +1,4 @@
-"""The sharded admission cluster: router, journal, and wire front end.
+"""The sharded admission cluster: router and reservation journal.
 
 :class:`ClusterRouter` partitions a network's links across N worker
 processes (:mod:`repro.serve.shard`, spawned and watched through
@@ -29,24 +29,29 @@ router issued them even when chaos delays or drops a frame.  A commit
 that reaches a shard after its hold-timer reaped the reservation
 re-books it before any later reserve is checked.
 
-Every admission and release runs one walk, a *wave*: each undecided
-call's current candidate is tried in one *round*, all of a round's
-commands to a shard share a pickle frame, and refusals crank back into
-the next round.  An attempt is admitted when every touched shard books
-it, *refused* (one crankback, primary or alternate, as the signaling
-simulator counts them) when any shard refuses, and ``"shard-down"`` only
-when some shard failed and none refused.  The two router modes differ
-only in how many requests share a wave:
+Every admission and release runs one walk, a *wave*, under the router
+lock: the wave's releases of calls it did not admit go first, then each
+undecided call's current candidate is tried in one *round*, all of a
+round's commands to a shard share a pickle frame, and refusals crank
+back into the next round; releases of calls the wave admitted go last.
+An attempt is admitted when every touched shard books it, *refused* (one
+crankback, primary or alternate, as the signaling simulator counts them)
+when any shard refuses, and ``"shard-down"`` only when some shard failed
+and none refused.  The two router modes differ only in how many
+requests share a wave:
 
-* ``ordered`` — one request per wave, under the router lock.  With faults
-  off this is *bit-identical* to the single-process engine on the same
-  trace (the replay-equivalence oracle in ``tests/test_cluster.py``), and
-  it is the mode the chaos smoke uses so fault-free prefixes stay
-  comparable;
-* ``pipelined`` — concurrently submitted batches merge into one wave.
-  Set-ups in one wave may race for the same circuits; the loser's
-  reserve is refused and it cranks back — the signaling simulator's
-  *race abort*, here a live phenomenon rather than a modelled one.
+* ``ordered`` — one request per wave.  With faults off this is
+  *bit-identical* to the single-process engine on the same trace (the
+  replay-equivalence oracle in ``tests/test_cluster.py``), and it is the
+  mode the chaos smoke uses so fault-free prefixes stay comparable;
+* ``pipelined`` — one submitted batch per wave.  Set-ups in one wave may
+  race for the same circuits; the loser's reserve is refused and it
+  cranks back — the signaling simulator's *race abort*, here a live
+  phenomenon rather than a modelled one.  A wave decides its admissions
+  in rounds rather than in request order, so blocking differs from the
+  engine's; the decisions are deterministic, and
+  ``tests/oracles/cluster.py`` replays the same waves without processes
+  to check them.
 
 Fault tolerance is journal-centric: the router's
 :class:`ReservationJournal` (held call -> path/width) is the single
@@ -58,12 +63,9 @@ the worker (their callers crank back or retry), and reservations orphaned
 by lost aborts are reaped by the worker's own hold-timer.  While a shard
 is down the router degrades instead of failing: candidate paths touching
 it are skipped, and only a call with *no* reachable route is refused,
-with the dedicated ``"shard-down"`` reason.
-
-The wire front end (:class:`ClusterServer` / :class:`ClusterClient`)
-speaks length-prefixed pickle frames — batched decisions, metrics,
-drain, and the ``audit`` op that diffs every live shard's occupancy
-against the journal (leak detection for the chaos harness).
+with the dedicated ``"shard-down"`` reason.  :meth:`ClusterRouter.audit`
+diffs every live shard's occupancy against the journal (leak detection
+for the chaos harness).
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ import itertools
 import json
 import os
 import pickle
-import socket
 import struct
 from dataclasses import dataclass, field
 
@@ -91,8 +92,6 @@ from .telemetry import MetricsRegistry
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
-    "ClusterServer",
-    "ClusterClient",
     "ReservationJournal",
     "ShardError",
     "ShardDown",
@@ -111,14 +110,6 @@ _MAX_FRAME_COMMANDS = 1024
 _WIRE = struct.Struct("!i")
 
 _MODES = ("ordered", "pipelined")
-
-#: Cap on requests merged into one pipelined wave.  A wave admits first
-#: and runs intra-wave releases after (see ``_decide_batch_rounds``), so
-#: an unbounded merge of a deep client backlog would span minutes of
-#: trace time, hold every admitted call's circuits until wave end, and
-#: inflate blocking far past the engine's.  Whole batches are taken up
-#: to this cap; the rest stay queued for the next wave.
-_MAX_WAVE_REQUESTS = 2048
 
 
 def _reservation_id(call_id: int | str, index: int) -> int | str:
@@ -159,8 +150,8 @@ class ClusterConfig:
     """One cluster's shape and its signaling-policy knobs.
 
     ``mode`` picks how many requests share an admission wave: one
-    (``ordered``: deterministic, engine-equivalent) or every batch
-    submitted concurrently (``pipelined``: race aborts crank back).  The three
+    (``ordered``: engine-equivalent) or one submitted batch
+    (``pipelined``: race aborts crank back).  The three
     :mod:`repro.sim.sigpolicy` objects govern the distributed set-up
     exactly as they do the simulated one: ``retry`` bounds each shard
     RPC (timeout, retries, backoff), ``crankback`` optionally caps how
@@ -326,17 +317,11 @@ class ClusterRouter:
         self._down: set[int] = set()
         self._misses: dict[int, int] = {sid: 0 for sid in specs}
         self._lock = asyncio.Lock()
-        self._batches = 0
         self._path_groups: dict[tuple, tuple] = {}
         self._candidates = self._compile_candidates()
-        # Pipelined batches queue here; one scheduler task merges every
-        # batch waiting at wave-start into a single decision wave.
-        self._wave_queue: list[tuple[list, asyncio.Future]] = []
-        self._wave_task: asyncio.Task | None = None
         self._monitor_task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started = False
-        self.decisions_total = 0
         #: Policy version across the fleet: bumped by every hot_swap and
         #: stamped into each shard (and its respawn spec), so restarted
         #: workers come back with the bounds in force, not the boot ones.
@@ -387,13 +372,6 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._monitor_task = None
-        if self._wave_task is not None:
-            self._wave_task.cancel()
-            try:
-                await self._wave_task
-            except asyncio.CancelledError:
-                pass
-            self._wave_task = None
         for sid in list(self._conns):
             self._unregister_reader(sid)
             self._fail_pending(sid, ShardDown(f"shard {sid}: router stopped"))
@@ -401,11 +379,6 @@ class ClusterRouter:
         self._conns.clear()
         self.journal.close()
         self._started = False
-
-    async def drain(self) -> None:
-        """Wait for every in-flight pipelined decision to settle."""
-        while self._batches:
-            await asyncio.sleep(0.01)
 
     async def __aenter__(self) -> "ClusterRouter":
         await self.start()
@@ -784,9 +757,9 @@ class ClusterRouter:
         one of ``alt_thresholds`` (scalar ``threshold`` discipline) or
         ``length_thresholds`` (some or all per-hop-length rows; rows left
         out keep their bounds) must be given and must match the policy's
-        discipline.  The swap is serialized
-        against ordered-mode waves by the router lock, so no decision
-        straddles two policy versions; every shard gets one ``swap``
+        discipline.  The router lock serializes the swap against every
+        wave, ordered or pipelined, so no decision straddles two policy
+        versions; every shard gets one ``swap``
         command stamped with the new epoch, and the supervisor's respawn
         specs are updated first — a worker that crashes mid-broadcast is
         restarted with the *new* bounds, never the boot ones.  Down
@@ -818,12 +791,7 @@ class ClusterRouter:
         return max_delta
 
     async def submit(self, request: AdmitRequest | ReleaseRequest) -> Decision:
-        """Decide one request as a one-request wave (under the router lock
-        in ordered mode, queued like any batch in pipelined mode)."""
-        if self.config.mode == "pipelined":
-            (decision,) = await self.submit_batch([request])
-            return decision
-        self.decisions_total += 1
+        """Decide one request as a one-request wave under the router lock."""
         async with self._lock:
             (decision,) = await self._decide_batch_rounds([request])
         return decision
@@ -832,72 +800,15 @@ class ClusterRouter:
         self, requests: list[AdmitRequest | ReleaseRequest]
     ) -> list[Decision]:
         """Decide a batch: one :meth:`submit` wave per request in ordered
-        mode; in pipelined mode the batch joins the next merged wave
-        (:meth:`_wave_loop`), so its per-request overhead collapses to dict
-        operations — what lets four worker processes outrun the
-        single-process socket server.
+        mode; in pipelined mode the whole batch is one wave under the
+        router lock, so each round's commands to a shard share one frame
+        and the per-request cost collapses to dict operations.  Batches
+        submitted concurrently queue on the lock; they never merge.
         """
         if self.config.mode == "ordered":
             return [await self.submit(request) for request in requests]
-        self.decisions_total += len(requests)
-        future = asyncio.get_running_loop().create_future()
-        self._wave_queue.append((list(requests), future))
-        self._batches += 1
-        try:
-            if self._wave_task is None or self._wave_task.done():
-                self._wave_task = asyncio.ensure_future(self._wave_loop())
-            return await future
-        finally:
-            self._batches -= 1
-
-    async def _wave_loop(self) -> None:
-        """Drain the pipelined batch queue, one merged wave at a time.
-
-        Batches submitted concurrently (one per client connection) are
-        *merged* into a single wave and re-interleaved by request time
-        instead of raced against each other: concurrent waves would
-        contend for the same circuits and crank calls back for capacity
-        that is only transiently reserved, inflating blocking far above
-        the engine's.  One wave at a time keeps the worker serialization
-        honest while still amortizing the whole wave's commands into a
-        few frames per shard.
-        """
-        while self._wave_queue:
-            queue = self._wave_queue
-            pending: list[tuple[list, asyncio.Future]] = []
-            total = 0
-            while queue and (
-                not pending or total + len(queue[0][0]) <= _MAX_WAVE_REQUESTS
-            ):
-                batch = queue.pop(0)
-                pending.append(batch)
-                total += len(batch[0])
-            items: list[tuple] = []
-            for b, (requests, __) in enumerate(pending):
-                for j, request in enumerate(requests):
-                    items.append((request.time, b, j, request))
-            if len(pending) > 1 and all(it[0] is not None for it in items):
-                # Stable (time, batch, position) order: each call's admit
-                # and release live in one batch, so their relative order
-                # survives the interleave.
-                items.sort(key=lambda it: (it[0], it[1], it[2]))
-            try:
-                decisions = await self._decide_batch_rounds(
-                    [it[3] for it in items]
-                )
-            except BaseException as error:
-                for __, future in pending:
-                    if not future.done():
-                        future.set_exception(error)
-                if isinstance(error, asyncio.CancelledError):
-                    raise
-                continue
-            outs: list[list] = [[None] * len(reqs) for reqs, __ in pending]
-            for (__, b, j, ___), decision in zip(items, decisions):
-                outs[b][j] = decision
-            for (___, future), out in zip(pending, outs):
-                if not future.done():
-                    future.set_result(out)
+        async with self._lock:
+            return await self._decide_batch_rounds(list(requests))
 
     async def _decide_batch_rounds(
         self, requests: list[AdmitRequest | ReleaseRequest]
@@ -1142,148 +1053,3 @@ class ClusterRouter:
             "held_calls": len(self.journal.held),
             "chaos": None if self.chaos is None else dict(self.chaos.decisions),
         }
-
-
-# --------------------------------------------------------------- wire layer
-
-#: Length prefix for pickle frames: 4-byte big-endian payload size.
-_HEADER = struct.Struct(">I")
-
-
-def _decode_request(item: tuple) -> AdmitRequest | ReleaseRequest:
-    if item[0] == "admit":
-        __, rid, od, uniform, when, width = item
-        return AdmitRequest(
-            id=rid, od=(int(od[0]), int(od[1])), uniform=float(uniform),
-            time=when, width=int(width),
-        )
-    if item[0] == "release":
-        return ReleaseRequest(id=item[1], time=item[2])
-    raise ValueError(f"unknown request kind {item[0]!r}")
-
-
-class ClusterServer:
-    """Pickle-frame front end for a :class:`ClusterRouter`.
-
-    The protocol is one request dict per frame (``{"op": ...}``), one
-    reply dict per frame.  ``batch`` carries requests as compact tuples
-    (see :func:`_decode_request`) and answers with per-decision
-    ``(admitted, tier, reason)`` triples — the loadgen's aggregation
-    needs nothing more, and skipping route echo keeps frames small.
-    """
-
-    def __init__(self, router: ClusterRouter, host: str = "127.0.0.1", port: int = 0):
-        self.router = router
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._draining = False
-
-    async def start(self) -> None:
-        await self.router.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.router.stop()
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(_HEADER.size)
-                except asyncio.IncompleteReadError:
-                    break
-                payload = await reader.readexactly(_HEADER.unpack(header)[0])
-                message = pickle.loads(payload)
-                reply = await self._answer(message)
-                blob = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-                writer.write(_HEADER.pack(len(blob)) + blob)
-                await writer.drain()
-                if message.get("op") == "drain":
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _answer(self, message: dict) -> dict:
-        op = message.get("op")
-        router = self.router
-        if op == "batch":
-            if self._draining:
-                return {"error": "draining"}
-            requests = [_decode_request(item) for item in message["requests"]]
-            decisions = await router.submit_batch(requests)
-            return {
-                "decisions": [(d.admitted, d.tier, d.reason) for d in decisions]
-            }
-        if op == "metrics":
-            return {
-                "text": router.telemetry.render_text(),
-                "snapshot": router.telemetry.snapshot(),
-            }
-        if op == "ping":
-            return {"ok": True}
-        if op == "shards":
-            return router.shard_status()
-        if op == "audit":
-            return await router.audit()
-        if op == "resync":
-            await router.resync_all()
-            return {"ok": True}
-        if op == "drain":
-            self._draining = True
-            await router.drain()
-            return {"ok": True, "held_calls": len(router.journal.held)}
-        return {"error": f"unknown op {op!r}"}
-
-
-class ClusterClient:
-    """Blocking pickle-frame client (tests, loadgen worker processes)."""
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-
-    def request(self, message: dict) -> dict:
-        blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        self._sock.sendall(_HEADER.pack(len(blob)) + blob)
-        header = self._recv_exact(_HEADER.size)
-        return pickle.loads(self._recv_exact(_HEADER.unpack(header)[0]))
-
-    def decide_batch(self, items: list[tuple]) -> list[tuple]:
-        """Submit request tuples; returns (admitted, tier, reason) triples."""
-        reply = self.request({"op": "batch", "requests": items})
-        if "error" in reply:
-            raise RuntimeError(reply["error"])
-        return reply["decisions"]
-
-    def _recv_exact(self, size: int) -> bytes:
-        chunks = []
-        while size:
-            chunk = self._sock.recv(size)
-            if not chunk:
-                raise ConnectionError("cluster server closed the connection")
-            chunks.append(chunk)
-            size -= len(chunk)
-        return b"".join(chunks)
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self) -> "ClusterClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -9,8 +9,8 @@ Releases are issued for *every* call, admitted or not — releasing a call
 the engine never held is an occupancy no-op (answered ``unknown-call``),
 precisely as the simulator skips the empty slots of blocked calls.  That
 makes the request stream a pure function of the trace, independent of the
-decisions, so the identical stream drives serial, batched, and socket
-replays.
+decisions, so the identical stream drives serial, batched, socket and
+cluster replays.
 
 :func:`aggregate_decisions` folds a decision list back into a
 :class:`~repro.sim.metrics.SimulationResult` with the simulator's exact
@@ -19,7 +19,11 @@ splits by tier), and :func:`replay_trace` /
 :func:`replay_trace_socket` run the full loop: with overload control and
 adaptation off, the report's ``result`` must equal
 ``simulate(network, policy, trace, warmup)`` field for field —
-``tests/test_serve.py`` asserts it.
+``tests/test_serve.py`` asserts it.  :func:`replay_trace_cluster` feeds
+the same stream to a :class:`~repro.serve.cluster.ClusterRouter` from
+this process, one batch at a time; the router's shard workers are the
+only other processes, which is how ``benchmarks/bench_cluster_throughput.py``
+measures both cluster modes.
 
 ``speedup`` paces the replay against the wall clock (``speedup=50`` plays
 one unit of trace time per 20 ms of wall time); ``None`` replays flat out.
@@ -51,8 +55,6 @@ __all__ = [
     "measure_overload",
     "measure_regime_shift",
     "measure_surge_with_shard_kill",
-    "measure_cluster_throughput",
-    "partition_requests",
 ]
 
 
@@ -360,10 +362,13 @@ async def replay_trace_cluster(
 ) -> ReplayReport:
     """Replay the trace through a started :class:`ClusterRouter`.
 
-    With an ``ordered``-mode router and faults off, the report's
-    decisions must be bit-identical to :func:`replay_trace` on an
-    in-process engine — the cluster's replay-equivalence oracle
-    (``tests/test_cluster.py`` asserts it).
+    Requests go in ``batch_size`` batches, one after another.  With an
+    ``ordered``-mode router and faults off, the report's decisions must
+    be bit-identical to :func:`replay_trace` on an in-process engine —
+    the cluster's replay-equivalence oracle.  A ``pipelined`` router
+    decides each batch as one wave, so its decisions depend on
+    ``batch_size``; they must equal the process-free wave reference in
+    ``tests/oracles/cluster.py`` (``tests/test_cluster.py`` asserts both).
     """
     requests = trace_requests(trace)
     decisions: list[Decision] = []
@@ -377,245 +382,6 @@ async def replay_trace_cluster(
         wall_seconds=elapsed,
         requests=len(requests),
     )
-
-
-def partition_requests(
-    requests: Sequence[AdmitRequest | ReleaseRequest], clients: int
-) -> list[list[AdmitRequest | ReleaseRequest]]:
-    """Split a request stream across ``clients``, keeping every call's
-    admit and release in the same partition (call-id keyed).
-
-    Splitting positionally instead would strand releases in a different
-    client than their admits: every release answers ``unknown-call``,
-    held calls never free, and the network saturates — a measurement
-    artifact, not a workload.
-    """
-    if clients < 1:
-        raise ValueError("clients must be positive")
-    parts: list[list[AdmitRequest | ReleaseRequest]] = [[] for __ in range(clients)]
-    for request in requests:
-        parts[hash(request.id) % clients].append(request)
-    return parts
-
-
-def _cluster_request_tuples(
-    requests: Sequence[AdmitRequest | ReleaseRequest],
-) -> list[tuple]:
-    """The compact wire form :class:`ClusterClient` batches carry."""
-    items: list[tuple] = []
-    for request in requests:
-        if isinstance(request, AdmitRequest):
-            items.append(("admit", request.id, request.od, request.uniform,
-                          request.time, request.width))
-        else:
-            items.append(("release", request.id, request.time))
-    return items
-
-
-def _baseline_server_main(network, policy, port_queue, stop_event) -> None:
-    """Child process: the single-process JSON-lines socket server."""
-    from .server import ServeServer
-
-    async def run() -> None:
-        engine = RequestEngine(network, policy)
-        server = ServeServer(engine)
-        await server.start()
-        port_queue.put(server.port)
-        while not stop_event.is_set():
-            await asyncio.sleep(0.05)
-        await server.stop()
-
-    asyncio.run(run())
-
-
-def _cluster_server_main(
-    network, policy, num_shards, port_queue, stop_event
-) -> None:
-    """Child process: the sharded cluster in pipelined mode."""
-    from .cluster import ClusterConfig, ClusterRouter, ClusterServer
-
-    async def run() -> None:
-        router = ClusterRouter(
-            network, policy, ClusterConfig(num_shards=num_shards, mode="pipelined")
-        )
-        server = ClusterServer(router)
-        await server.start()
-        port_queue.put(server.port)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, stop_event.wait)
-        await server.stop()
-
-    asyncio.run(run())
-
-
-def _baseline_client_main(port, requests, result_queue, barrier) -> None:
-    """Child process: stream JSON lines, count answers (reader thread)."""
-    import socket as socketlib
-    import threading
-
-    lines = [_encode(request) for request in requests]
-    sock = socketlib.create_connection(("127.0.0.1", port))
-    writer = sock.makefile("wb")
-    reader = sock.makefile("rb")
-    barrier.wait()
-    start = time.perf_counter()
-
-    def send() -> None:
-        for line in lines:
-            writer.write(line)
-        writer.flush()
-
-    pump = threading.Thread(target=send)
-    pump.start()
-    answered = 0
-    for __ in range(len(lines)):
-        if reader.readline():
-            answered += 1
-    pump.join()
-    result_queue.put((answered, start, time.perf_counter()))
-    sock.close()
-
-
-def _cluster_client_main(port, requests, batch_size, result_queue, barrier) -> None:
-    """Child process: stream pickle batch frames, tally the reply triples.
-
-    Frames are pickled *before* the barrier — the baseline client
-    pre-encodes its JSON lines the same way, so the measured window
-    charges both fleets for wire traffic, not for request encoding.
-    """
-    import pickle as picklelib
-    import threading
-
-    from .cluster import _HEADER, ClusterClient
-
-    items = _cluster_request_tuples(requests)
-    frames = []
-    for i in range(0, len(items), batch_size):
-        blob = picklelib.dumps(
-            {"op": "batch", "requests": items[i:i + batch_size]},
-            protocol=picklelib.HIGHEST_PROTOCOL,
-        )
-        frames.append(_HEADER.pack(len(blob)) + blob)
-    client = ClusterClient("127.0.0.1", port)
-    barrier.wait()
-    start = time.perf_counter()
-
-    def send() -> None:
-        for frame in frames:
-            client._sock.sendall(frame)
-
-    pump = threading.Thread(target=send)
-    pump.start()
-    answered = admitted = 0
-    for __ in frames:
-        header = client._recv_exact(_HEADER.size)
-        reply = picklelib.loads(client._recv_exact(_HEADER.unpack(header)[0]))
-        for ok, tier, ___ in reply["decisions"]:
-            answered += 1
-            if ok and tier != "release":
-                admitted += 1
-    pump.join()
-    result_queue.put((answered, start, time.perf_counter(), admitted))
-    client.close()
-
-
-def _run_fleet(ctx, server_target, server_args, client_target, parts, extra):
-    """One measurement: a server child, ``len(parts)`` client children.
-
-    Returns (total answered, aggregate wall seconds, per-client extras):
-    wall is last-finish minus first-start across clients (they are
-    barrier-released together), so the rate is a true aggregate.
-    """
-    port_queue = ctx.Queue()
-    stop_event = ctx.Event()
-    barrier = ctx.Barrier(len(parts) + 1)
-    # The server child must not be daemonic: the cluster server forks its
-    # own shard workers, which daemons are forbidden to do.
-    server = ctx.Process(
-        target=server_target, args=(*server_args, port_queue, stop_event),
-    )
-    server.start()
-    port = port_queue.get(timeout=60)
-    result_queue = ctx.Queue()
-    clients = [
-        ctx.Process(
-            target=client_target,
-            args=(port, part, *extra, result_queue, barrier),
-            daemon=True,
-        )
-        for part in parts
-    ]
-    for proc in clients:
-        proc.start()
-    barrier.wait()
-    results = [result_queue.get(timeout=600) for __ in clients]
-    for proc in clients:
-        proc.join()
-    stop_event.set()
-    server.join(timeout=30)
-    if server.is_alive():  # pragma: no cover - wedged server child
-        server.terminate()
-        server.join()
-    answered = sum(r[0] for r in results)
-    wall = max(r[2] for r in results) - min(r[1] for r in results)
-    return answered, wall, results
-
-
-def measure_cluster_throughput(
-    network,
-    policy,
-    trace: ArrivalTrace,
-    num_shards: int = 4,
-    clients: int = 4,
-    batch_size: int = 512,
-) -> dict:
-    """Aggregate decisions/s: sharded cluster vs single-process server.
-
-    Both sides serve the identical request stream, call-partitioned
-    across ``clients`` loadgen processes that start behind one barrier:
-
-    * **baseline** — :class:`~repro.serve.server.ServeServer` (one
-      process, JSON lines, micro-batched engine);
-    * **cluster** — ``num_shards`` shard workers behind a pipelined
-      :class:`~repro.serve.cluster.ClusterRouter`, clients speaking
-      batched pickle frames.
-
-    Returns a JSON-ready dict with both rates and the cluster/baseline
-    speedup (``benchmarks/bench_cluster_throughput.py`` asserts the bar).
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    requests = trace_requests(trace)
-    parts = partition_requests(requests, clients)
-    base_answered, base_wall, __ = _run_fleet(
-        ctx, _baseline_server_main, (network, policy),
-        _baseline_client_main, parts, (),
-    )
-    cluster_answered, cluster_wall, cluster_results = _run_fleet(
-        ctx, _cluster_server_main, (network, policy, num_shards),
-        _cluster_client_main, parts, (batch_size,),
-    )
-    if base_answered != len(requests) or cluster_answered != len(requests):
-        raise AssertionError(
-            f"lost answers: baseline {base_answered}, cluster "
-            f"{cluster_answered}, expected {len(requests)}"
-        )
-    baseline_rate = base_answered / base_wall
-    cluster_rate = cluster_answered / cluster_wall
-    return {
-        "requests": len(requests),
-        "calls": len(trace.times),
-        "num_shards": num_shards,
-        "clients": clients,
-        "batch_size": batch_size,
-        "baseline_seconds": base_wall,
-        "cluster_seconds": cluster_wall,
-        "baseline_decisions_per_sec": baseline_rate,
-        "cluster_decisions_per_sec": cluster_rate,
-        "speedup": cluster_rate / baseline_rate,
-        "cluster_admitted": sum(r[3] for r in cluster_results),
-    }
 
 
 def decisions_digest(decisions: Sequence[Decision]) -> str:

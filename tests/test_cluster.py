@@ -1,12 +1,16 @@
 """Tests for the sharded admission cluster (repro.serve.cluster).
 
-The heart is the replay-equivalence oracle extending PR 5's: an
-ordered-mode cluster of real worker processes must reproduce the
-single-process :class:`~repro.serve.engine.RequestEngine`'s decisions
-bit for bit on the same trace.  Around it: the pure-logic pieces
-(reservation ids, partitioning, journal, config validation, seeded
-chaos) and the fault paths (worker crash recovery, shard-down
-degradation).
+Two oracles guard the two router modes.  An ordered-mode cluster of real
+worker processes must reproduce the single-process
+:class:`~repro.serve.engine.RequestEngine`'s decisions bit for bit on the
+same trace.  A pipelined cluster decides each submitted batch as one
+wave, and its decisions and its fast-path, two-phase and crankback
+counters must equal the process-free wave reference in
+:mod:`tests.oracles.cluster`, also when batches are submitted
+concurrently or a hot swap arrives mid-batch.  Around them: the
+pure-logic pieces (reservation ids, partitioning, journal, config
+validation, seeded chaos) and the fault paths (worker crash recovery,
+shard-down degradation).
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
+from repro.api import Scenario
 from repro.routing.alternate import ControlledAlternateRouting
 from repro.serve import (
     ChaosConfig,
@@ -27,6 +33,7 @@ from repro.serve import (
     partition_links,
     replay_trace,
     replay_trace_cluster,
+    trace_requests,
 )
 from repro.serve.cluster import ShardDown, _release_id, _reservation_id
 from repro.sim.sigpolicy import HoldTimerPolicy, RetryPolicy
@@ -34,6 +41,8 @@ from repro.sim.trace import generate_trace
 from repro.topology.paths import build_path_table
 from repro.traffic.demand import primary_link_loads
 from repro.traffic.generators import uniform_traffic
+
+from .oracles.cluster import pipelined_reference
 
 WARMUP = 2.0
 
@@ -55,6 +64,18 @@ def cluster_trace(quad_network):
 def engine_reference(quad_network, cluster_policy, cluster_trace):
     engine = RequestEngine(quad_network, cluster_policy)
     return replay_trace(engine, cluster_trace, warmup=WARMUP)
+
+
+@pytest.fixture(scope="module")
+def quadrangle_case(quad_network, cluster_policy, cluster_trace):
+    return quad_network, cluster_policy, cluster_trace
+
+
+@pytest.fixture(scope="module")
+def nsfnet_case():
+    """NSFNet at nominal load: a 40-unit seed-0 trace."""
+    scenario = Scenario()
+    return scenario.network, scenario.build_policy(), scenario.make_trace(40.0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -233,28 +254,40 @@ class TestReplayEquivalence:
         assert pipelined.decisions == engine_reference.decisions
         assert pipelined_counts == ordered_counts
 
+    @pytest.mark.parametrize("case, num_shards, batch_size", [
+        pytest.param("quadrangle_case", 3, 512, id="quadrangle"),
+        pytest.param("nsfnet_case", 2, 256, id="nsfnet"),
+    ])
     def test_pipelined_cluster_is_leak_free_and_complete(
-        self, quad_network, cluster_policy, cluster_trace
+        self, request, case, num_shards, batch_size
     ):
-        from repro.serve.loadgen import trace_requests
-
-        requests = trace_requests(cluster_trace)
+        network, policy, trace = request.getfixturevalue(case)
+        requests = trace_requests(trace)
+        reference, reference_counts = pipelined_reference(
+            network, policy, trace, num_shards, batch_size
+        )
 
         async def run():
             router = ClusterRouter(
-                quad_network, cluster_policy,
-                ClusterConfig(num_shards=3, mode="pipelined"),
+                network, policy,
+                ClusterConfig(num_shards=num_shards, mode="pipelined"),
             )
             async with router:
                 decisions = []
-                for i in range(0, len(requests), 512):
+                for i in range(0, len(requests), batch_size):
                     decisions.extend(
-                        await router.submit_batch(requests[i:i + 512])
+                        await router.submit_batch(requests[i:i + batch_size])
                     )
                 audit = await router.audit()
-            return decisions, audit
+            counts = {
+                name: router.telemetry.counter(f"serve_cluster_{name}_total").value
+                for name in reference_counts
+            }
+            return decisions, audit, counts
 
-        decisions, audit = asyncio.run(run())
+        decisions, audit, counts = asyncio.run(run())
+        assert decisions == reference
+        assert counts == reference_counts
         assert len(decisions) == len(requests)
         admitted = sum(
             1 for d in decisions if d.admitted and d.tier != "release"
@@ -268,6 +301,69 @@ class TestReplayEquivalence:
             1 for d in decisions if d.tier == "release" and d.admitted
         )
         assert audit["held_calls"] == admitted - released
+
+    def test_concurrent_pipelined_batches_are_separate_waves(
+        self, quad_network, cluster_policy, cluster_trace
+    ):
+        # Batches gathered together queue on the router lock: each is its
+        # own wave, decided as if submitted one after another.
+        size = 512
+        requests = trace_requests(cluster_trace)[:9 * size]
+        reference, __ = pipelined_reference(
+            quad_network, cluster_policy, cluster_trace, 3, size
+        )
+
+        async def run():
+            router = ClusterRouter(
+                quad_network, cluster_policy,
+                ClusterConfig(num_shards=3, mode="pipelined"),
+            )
+            decisions = []
+            async with router:
+                for first in range(0, len(requests), 3 * size):
+                    answers = await asyncio.gather(*(
+                        router.submit_batch(requests[i:i + size])
+                        for i in range(first, first + 3 * size, size)
+                    ))
+                    for batch in answers:
+                        decisions.extend(batch)
+            return decisions
+
+        assert asyncio.run(run()) == reference[:len(requests)]
+
+    def test_hot_swap_waits_for_the_pipelined_wave_in_progress(
+        self, quad_network, cluster_policy, cluster_trace
+    ):
+        # The router lock serializes a swap against pipelined waves too:
+        # a batch already deciding finishes under the bounds it began with.
+        size, swap_batch = 256, 22
+        requests = trace_requests(cluster_trace)
+        reference, __ = pipelined_reference(
+            quad_network, cluster_policy, cluster_trace, 3, size
+        )
+        window = slice(swap_batch * size, (swap_batch + 1) * size)
+        assert any(d.tier == "alternate" for d in reference[window])
+
+        async def run():
+            router = ClusterRouter(
+                quad_network, cluster_policy,
+                ClusterConfig(num_shards=3, mode="pipelined"),
+            )
+            async with router:
+                for i in range(0, swap_batch * size, size):
+                    await router.submit_batch(requests[i:i + size])
+                deciding = asyncio.ensure_future(
+                    router.submit_batch(requests[window])
+                )
+                await asyncio.sleep(0)
+                await router.hot_swap(
+                    alt_thresholds=np.zeros(quad_network.num_links, dtype=int)
+                )
+                return await deciding, router.policy_epoch
+
+        decisions, epoch = asyncio.run(run())
+        assert epoch == 1
+        assert decisions == reference[window]
 
 
 class TestFaultTolerance:

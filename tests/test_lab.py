@@ -7,8 +7,9 @@ The headline guarantees under test:
   simulation work on the second pass, with bit-identical results;
 * a study interrupted partway (``max_jobs``) and then resumed merges to
   exactly the uninterrupted result, serially and on the process pool;
-* an interrupted pass leaves no job marked ``running``, and a pool that
-  loses a worker still completes the study;
+* no manifest a pass saves marks a job ``running``, so an interrupted or
+  killed pass leaves none, and a pool that loses a worker still completes
+  the study;
 * overlapping studies share cached replications.
 """
 
@@ -208,6 +209,22 @@ class TestScheduler:
         states = [entry["status"] for entry in manifest["jobs"].values()]
         assert "running" not in states
         assert states.count("done") == 1
+
+    def test_no_saved_manifest_marks_a_job_running(self, tmp_path, monkeypatch):
+        # A pass killed between two saves (SIGKILL, OOM) must not leave
+        # jobs marked running that no live process holds.
+        save_manifest = ResultStore.save_manifest
+        saved = []
+
+        def spy(store, study, manifest):
+            saved.append({entry["status"] for entry in manifest["jobs"].values()})
+            return save_manifest(store, study, manifest)
+
+        monkeypatch.setattr(ResultStore, "save_manifest", spy)
+        run_study(SCENARIO, config=CONFIG, lab=LabConfig(store=tmp_path))
+        assert saved[0] == {"pending"}
+        assert saved[-1] == {"done"}
+        assert [s for s in saved if "running" in s] == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched simulator reaches forked workers only")
