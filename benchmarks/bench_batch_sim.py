@@ -2,7 +2,7 @@
 
 One NSFNet replication study (controlled alternate routing, nominal
 traffic, ``REPRO_BENCH_BATCH_SEEDS`` seeds — default 100) is run twice on
-identical traces: once through :func:`repro.sim.batch.simulate_batch` (one
+identical traces: once through :class:`repro.sim.batch.BatchSimulator` (one
 vectorized admission kernel advancing every seed per event epoch) and once
 through the per-seed fast loop.  Per-seed blocking statistics are asserted
 bit-identical before any speedup is reported, and a reference-loop spot
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.routing.alternate import ControlledAlternateRouting
-from repro.sim.batch import simulate_batch
+from repro.sim.batch import BatchSimulator
 from repro.sim.simulator import simulate
 from repro.sim.trace import generate_trace
 from repro.topology.nsfnet import nsfnet_backbone
@@ -112,8 +112,6 @@ def test_batch_sim(bench_config):
     # The construction is timed separately — the pack phase (per-seed epoch
     # mapping + departure sort) is the un-amortizable per-call cost the
     # speedup model needs.
-    from repro.sim.batch import BatchSimulator
-
     start = time.perf_counter()
     batch_sim = BatchSimulator(network, policy, traces, warmup)
     pack_seconds = time.perf_counter() - start
@@ -131,7 +129,8 @@ def test_batch_sim(bench_config):
 
     timings = _interleaved_best(
         {
-            "batch": lambda: simulate_batch(network, policy, traces, warmup),
+            "batch": lambda: BatchSimulator(network, policy, traces,
+                                            warmup).run(),
             "fast": lambda: [
                 simulate(network, policy, trace, warmup, backend="fast")
                 for trace in traces
@@ -169,7 +168,7 @@ def test_batch_sim(bench_config):
     for width in widths:
         subset = traces[:width]
         start = time.perf_counter()
-        simulate_batch(network, policy, subset, warmup)
+        BatchSimulator(network, policy, subset, warmup).run()
         elapsed = time.perf_counter() - start
         subset_calls = sum(len(trace.times) for trace in subset)
         scaling.append({

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 __all__ = ["BACKENDS", "resolve_backend"]
 
-#: Valid values for the unified ``backend=`` keyword, in resolution order:
-#: ``auto`` picks the fastest exact engine for the job, ``batch`` requests the
-#: lockstep many-seeds kernel (falling back when ineligible), ``fast`` the
-#: per-seed vectorized loop, ``reference`` the general event-loop oracle.
-BACKENDS = ("auto", "batch", "fast", "reference")
+#: Valid values for the unified ``backend=`` keyword: ``auto`` picks the
+#: fastest exact engine for the job, ``fast`` the per-seed vectorized loop,
+#: ``reference`` the general event-loop oracle.
+BACKENDS = ("auto", "fast", "reference")
 
 
 def resolve_backend(backend: str | None = None, *, default: str = "auto") -> str:

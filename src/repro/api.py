@@ -200,19 +200,26 @@ class Scenario:
         """The same scenario under a different routing policy."""
         return replace(self, policy=name)
 
+    @cached_property
+    def _workloads(self) -> dict[float, Workload]:
+        return {}
+
     def resolved_workload(self, horizon: float) -> Workload | None:
         """The concrete :class:`Workload`, or ``None`` for stationary demand.
 
         Spec strings are built against this scenario's network and traffic
         over ``[0, horizon)`` — the same spec on the same scenario always
-        resolves to the same workload, so traces stay replayable.
+        resolves to the same workload, so traces stay replayable.  Each
+        horizon's workload is built once and shared (workloads are frozen).
         """
         if self.workload is None:
             return None
-        return build_workload(
-            self.workload, network=self.network, table=self.path_table,
-            traffic=self.traffic_matrix, horizon=horizon,
-        )
+        if horizon not in self._workloads:
+            self._workloads[horizon] = build_workload(
+                self.workload, network=self.network, table=self.path_table,
+                traffic=self.traffic_matrix, horizon=horizon,
+            )
+        return self._workloads[horizon]
 
     def make_trace(self, duration: float, seed: int) -> ArrivalTrace:
         """An arrival trace honouring the scenario's workload (if any).
@@ -307,9 +314,9 @@ def run_scenario(
 
     ``duration`` is total simulated time including the ``warmup`` transient
     (the paper's protocol: 110 units, first 10 discarded).  ``backend``
-    selects the simulation engine — ``"auto"`` (default), ``"batch"``,
-    ``"fast"``, or ``"reference"`` for the unvectorized oracle loop; all
-    produce bit-identical statistics.
+    selects the simulation engine — ``"auto"`` (default), ``"fast"``, or
+    ``"reference"`` for the unvectorized oracle loop; all produce
+    bit-identical statistics.
     """
     resolved = resolve_backend(backend)
     trace = scenario.make_trace(duration, seed)
@@ -340,11 +347,11 @@ def run_study(
     runner's timeout/retry/fallback machinery.
 
     ``backend`` selects the execution engine per replication group.  Under
-    ``"auto"`` (and ``"batch"``) the serial path groups compatible seeds
-    into one lockstep batch-kernel invocation, falling back to the per-seed
-    loops for configurations the kernel cannot express (and for parallel
-    pools, which stay per-seed by construction); ``"fast"`` / ``"reference"``
-    force the per-seed loops.  Results are bit-identical across backends;
+    ``"auto"`` the serial path groups compatible seeds into one lockstep
+    batch-kernel invocation, falling back to the per-seed loops for
+    configurations the kernel cannot express (and for parallel pools, which
+    stay per-seed by construction); ``"fast"`` / ``"reference"`` force the
+    per-seed loops.  Results are bit-identical across backends;
     ``StudyResult.backends`` names the engine behind each policy.
 
     ``lab=LabConfig(...)`` routes the study through :mod:`repro.lab`: each

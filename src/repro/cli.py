@@ -1103,6 +1103,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="alternate hop cap H")
         cmd.add_argument("--batch", type=_positive_int, default=64,
                          help="micro-batch size (max_batch)")
+        cmd.add_argument("--workload", default=None,
+                         help="time-varying workload spec: diurnal, "
+                              "flash-crowd, regional-surge, adversarial[:SEED]"
+                              " (default stationary)")
+    # The request-engine flags: only run and replay build an engine.
+    for cmd in (serve_run, serve_replay):
         cmd.add_argument("--max-latency", type=_non_negative_float, default=0.002,
                          help="micro-batch flush deadline in seconds")
         cmd.add_argument("--rate", type=_positive_float, default=None,
@@ -1114,13 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hard queue bound (enables queue shedding)")
         cmd.add_argument("--adapt-interval", type=_positive_float, default=None,
                          help="enable online threshold adaptation, this often")
-        cmd.add_argument("--workload", default=None,
-                         help="time-varying workload spec: diurnal, "
-                              "flash-crowd, regional-surge, adversarial[:SEED]"
-                              " (default stationary)")
         cmd.add_argument("--events", default=None,
                          help="JSONL telemetry path (serve_metrics events)")
-    for cmd in (serve_run, serve_replay):
         cmd.add_argument("--controller", choices=("gradient", "markov"),
                          default=None,
                          help="close the online protection-level control "

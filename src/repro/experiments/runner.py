@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 from .._compat import resolve_backend
 from ..routing.base import RoutingPolicy
-from ..sim.batch import batch_ineligibility, simulate_batch
+from ..sim.batch import BatchSimulator, batch_ineligibility
 from ..sim.metrics import SimulationResult, SweepStatistic, aggregate
 from ..sim.simulator import simulate
 from ..sim.trace import ArrivalTrace, generate_trace
@@ -166,7 +166,7 @@ class SeedStatus:
     seeds served from the lab's result store without simulating.  ``backend``
     names the engine that produced the result: ``"batch"`` when the seed ran
     inside a lockstep batch-kernel group (``wall_clock`` is then the group's
-    time split evenly), otherwise the per-seed backend that was requested.
+    time split evenly), otherwise the backend that was requested.
     """
 
     seed: int
@@ -360,7 +360,7 @@ def _try_batch(
         return False
     start = time.perf_counter()
     try:
-        batch_results = simulate_batch(network, policy, traces, warmup)
+        batch_results = BatchSimulator(network, policy, traces, warmup).run()
     except Exception:  # noqa: BLE001 - per-seed loop is the safety net
         return False
     share = (time.perf_counter() - start) / len(traces)
@@ -397,14 +397,13 @@ def _execute(
     that exhausts its retries appears in the statuses only.
     """
     backend = resolve_backend(backend)
-    per_seed_backend = backend if backend in ("fast", "reference") else "auto"
     if not parallel and traces is None:
         traces = [
             _make_trace(traffic, workload, config.duration, seed)
             for seed in config.seeds
         ]
     seeds = config.seeds if traces is None else [trace.seed for trace in traces]
-    statuses = [SeedStatus(seed=seed, backend=per_seed_backend) for seed in seeds]
+    statuses = [SeedStatus(seed=seed, backend=backend) for seed in seeds]
     results: dict[int, SimulationResult] = {}
 
     def complete(index: int, elapsed: float, result: SimulationResult) -> None:
@@ -420,10 +419,10 @@ def _execute(
             seeds, worker, statuses, seed_timeout, max_seed_retries,
             max_workers, complete=complete,
             initargs=(network, policy, traffic, config.duration,
-                      config.warmup, workload, per_seed_backend),
+                      config.warmup, workload, backend),
         )
     else:
-        if backend in ("auto", "batch"):
+        if backend == "auto":
             used_batch = _try_batch(
                 network, policy, traces, config.warmup, statuses, complete
             )
@@ -431,15 +430,13 @@ def _execute(
             _run_payloads_serial(
                 traces,
                 lambda trace: simulate(
-                    network, policy, trace, config.warmup,
-                    backend=per_seed_backend,
+                    network, policy, trace, config.warmup, backend=backend,
                 ),
                 statuses, range(len(traces)), max_seed_retries,
                 fallback=False, complete=complete,
             )
     ordered = [results[index] for index in sorted(results)]
-    return (statuses, ordered, pool_broken,
-            "batch" if used_batch else per_seed_backend)
+    return statuses, ordered, pool_broken, "batch" if used_batch else backend
 
 
 def run_replications_detailed(
@@ -463,11 +460,11 @@ def run_replications_detailed(
     ``None`` keeps the historical stationary traces bit for bit.  It is
     ignored when explicit ``traces`` are supplied.
 
-    ``backend`` selects the execution engine.  Under ``"auto"`` or
-    ``"batch"`` the serial path first tries to run all seeds in one
-    lockstep batch-kernel invocation (:func:`repro.sim.batch.simulate_batch`),
-    falling back per seed when the configuration is inexpressible;
-    ``"fast"`` / ``"reference"`` force the per-seed loops.  Every engine is
+    ``backend`` selects the execution engine.  Under ``"auto"`` the serial
+    path first tries to run all seeds in one lockstep batch-kernel
+    invocation (:class:`repro.sim.batch.BatchSimulator`), falling back per
+    seed when the configuration is inexpressible; ``"fast"`` /
+    ``"reference"`` force the per-seed loops.  Every engine is
     bit-identical, so the choice affects speed and provenance only.
 
     ``parallel=True`` fans the seeds over a process pool — results are

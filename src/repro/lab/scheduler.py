@@ -342,7 +342,7 @@ def run_lab_study(
     Each policy's pending jobs run as one seed group through the
     replication runner's executor, with the arguments of
     :func:`~repro.experiments.runner.run_replications_detailed`: under
-    ``"auto"``/``"batch"`` the serial path runs the group in one lockstep
+    ``"auto"`` the serial path runs the group in one lockstep
     batch-kernel call when the configuration allows, falling back per seed
     otherwise, and ``parallel=True`` uses the runner's pool with its
     ``seed_timeout``, retries and serial fallback.  Job keys never include
@@ -358,7 +358,6 @@ def run_lab_study(
     from .._compat import resolve_backend
 
     backend = resolve_backend(backend)
-    per_seed = backend if backend in ("fast", "reference") else "auto"
     lab = lab if lab is not None else LabConfig()
     store = ResultStore(lab.store_path)
     names = (scenario.policy,) if policies is None else tuple(policies)
@@ -451,7 +450,7 @@ def run_lab_study(
             results.append(result)
         stat = aggregate([result.network_blocking for result in results])
         group_backend = (
-            "batch" if any(s.backend == "batch" for s in statuses) else per_seed
+            "batch" if any(s.backend == "batch" for s in statuses) else backend
         )
         outcomes[name] = ReplicationOutcome(
             stat, results, statuses, backend=group_backend

@@ -98,12 +98,6 @@ __all__ = [
     "ShardTimeout",
 ]
 
-#: Cap on commands per router->shard frame.  The router's side of every
-#: pipe is non-blocking (excess bytes queue in ``_wbufs``), so the cap is
-#: not about deadlock — it bounds how much work one frame hands a worker
-#: before the worker surfaces for its hold-timer tick and reply write.
-_MAX_FRAME_COMMANDS = 1024
-
 #: :mod:`multiprocessing.connection`'s length prefix (4-byte big-endian,
 #: signed).  The router writes and parses this format on the raw shard
 #: pipe fds so the workers keep using plain blocking ``Connection``s.
@@ -526,18 +520,13 @@ class ClusterRouter:
         buffer = self._buffers[sid]
         if self._inflight[sid] or all(future is None for __, future in buffer):
             return
-        # Whole groups up to the size cap; the rest waits for the reply.
         commands: list[tuple] = []
         entries: list[tuple[asyncio.Future, int, int]] = []
-        taken = 0
         for group, future in buffer:
-            if commands and len(commands) + len(group) > _MAX_FRAME_COMMANDS:
-                break
             if future is not None:
                 entries.append((future, len(commands), len(commands) + len(group)))
             commands.extend(group)
-            taken += 1
-        del buffer[:taken]
+        buffer.clear()
         self._send_frame(sid, _Frame(commands, entries, attempt=0))
 
     def _send_frame(self, sid: int, record: _Frame) -> None:

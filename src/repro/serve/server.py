@@ -35,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Sequence
 
 from .engine import AdmitRequest, Decision, ReleaseRequest, RequestEngine
 
@@ -288,38 +287,3 @@ class ServeServer:
                 payload = item
             writer.write(json.dumps(payload).encode() + b"\n")
             await writer.drain()
-
-
-async def serve_requests(
-    engine: RequestEngine,
-    requests: Sequence[AdmitRequest | ReleaseRequest],
-    host: str = "127.0.0.1",
-) -> list[Decision]:
-    """Convenience: run a one-shot server, push ``requests`` through a
-    client connection in order, and return the decisions (test helper)."""
-    async with ServeServer(engine, host=host) as server:
-        reader, writer = await asyncio.open_connection(host, server.port)
-        decisions: list[Decision] = []
-        try:
-            for request in requests:
-                if isinstance(request, AdmitRequest):
-                    message = {"op": "admit", "id": request.id,
-                               "od": list(request.od), "u": request.uniform,
-                               "t": request.time, "w": request.width}
-                else:
-                    message = {"op": "release", "id": request.id,
-                               "t": request.time}
-                writer.write(json.dumps(message).encode() + b"\n")
-                await writer.drain()
-                line = await reader.readline()
-                answer = json.loads(line)
-                decisions.append(Decision(
-                    id=answer["id"], admitted=answer["admitted"],
-                    route=None if answer["route"] is None
-                    else tuple(answer["route"]),
-                    tier=answer["tier"], reason=answer["reason"],
-                ))
-        finally:
-            writer.close()
-            await writer.wait_closed()
-        return decisions

@@ -5,11 +5,8 @@ Python iteration.  This module advances a whole *batch* of seeds in lockstep
 instead: occupancy lives in one ``(seeds, links)`` int32 array, every trace's
 arrival/departure stream is presorted into shared **epochs**, and each epoch
 is one vectorized admission step — departure release, primary test, alternate
-resolution, scatter — executed for all seeds at once.  The per-link analytic
-kernels it leans on are the batch entry points of the core:
-:func:`repro.core.erlang.erlang_b_batch` for blocking and
-:func:`repro.core.protection.min_protection_levels` for whole-network
-Theorem-1 thresholds (shared with the serve tier's threshold recompute).
+resolution, scatter — executed for all seeds at once.  Paths and per-link
+bounds come from the policy's :class:`~repro.routing.table.RouteTable`.
 
 **Epoch mapping.**  Epoch ``k`` consists of every departure the scalar loop
 would process before arrival ``k``, then arrival ``k`` itself, for every seed
@@ -30,12 +27,11 @@ all-``FREE`` last row of the path table — its scatter and its release are
 no-ops by construction, so blocked calls flow through the same vector code
 path as admitted ones.
 
-Supported disciplines are ``threshold`` (the paper's two tiers),
-``dar`` and ``power-of-d`` (the random-alternate schemes of
-:mod:`repro.routing.dar`, whose positional draw streams are precomputed per
-seed).  Everything else — multirate traces, fault planes, lossy signaling,
-shadow prices — falls back to the per-seed loops; :func:`batch_ineligibility`
-names the reason.
+Supported disciplines are :data:`~repro.routing.table.FIRST_FEASIBLE` —
+the paper's first-feasible walk, which the fast loop, the serve engine and
+the cluster serve too.  Everything else — the random-alternate schemes,
+multirate traces, fault planes, lossy signaling, shadow prices — runs on the
+per-seed loops; :func:`batch_ineligibility` names the reason.
 """
 
 from __future__ import annotations
@@ -45,20 +41,12 @@ from typing import Sequence
 import numpy as np
 
 from ..routing.base import RoutingPolicy
-from ..routing.table import RouteTable
+from ..routing.table import FIRST_FEASIBLE, RouteTable
 from ..topology.graph import Network
 from .metrics import SimulationResult
 from .trace import ArrivalTrace
 
-__all__ = [
-    "BATCH_DISCIPLINES",
-    "BatchSimulator",
-    "batch_ineligibility",
-    "simulate_batch",
-]
-
-#: Routing disciplines the lockstep kernel can express.
-BATCH_DISCIPLINES = frozenset({"threshold", "length-threshold", "dar", "power-of-d"})
+__all__ = ["BatchSimulator", "batch_ineligibility"]
 
 _HUGE = np.int32(2**30)  # sentinel capacity: never blocks, never overflows
 _CHUNK = 2048  # epochs whose primary tables are gathered per chunk
@@ -75,17 +63,12 @@ def batch_ineligibility(
     """
     if not traces:
         return "no traces to simulate"
-    if policy.discipline not in BATCH_DISCIPLINES:
+    if policy.discipline not in FIRST_FEASIBLE:
         return f"discipline {policy.discipline!r} has no batch kernel"
     try:
-        table = RouteTable(policy)
+        RouteTable(policy)
     except ValueError as error:
         return str(error)
-    if policy.discipline in ("dar", "power-of-d"):
-        if not hasattr(policy, "route_draws"):
-            return f"policy {policy.name!r} lacks a route_draws stream"
-        if any(entry[0] == "multi" for entry in table.routes.values()):
-            return "random-alternate policies must be single-choice per pair"
     od_pairs = traces[0].od_pairs
     for trace in traces:
         if trace.bandwidths is not None:
@@ -219,9 +202,6 @@ class BatchSimulator:
         self._entry_alts = entry_alt_pids
         self._entry_base = entry_base
         self._cum_rows = cum_rows
-        self._alt_counts = np.array(
-            [len(alts) for alts in entry_alts], dtype=np.int64
-        )
         self._num_pairs = len(od_pairs)
 
     # ---------------------------------------------------------------- pack
@@ -276,30 +256,8 @@ class BatchSimulator:
         self._dep_off = (
             (self._dep_flat % num_seeds) * self._row_width
         ).astype(np.int32)
-        call_entry = np.ascontiguousarray(stage.T)
-        self._call_entry = call_entry
+        self._call_entry = np.ascontiguousarray(stage.T)
         self._num_epochs = num_epochs
-
-        discipline = self.policy.discipline
-        if discipline == "dar":
-            stage[:] = 0
-            for s, trace in enumerate(traces):
-                n = trace.num_calls
-                draws = self.policy.route_draws(trace)
-                n_alts = self._alt_counts[call_entry[:n, s]]
-                stage[s, :n] = (draws * n_alts).astype(np.int64)
-            self._resample = np.ascontiguousarray(stage.T)
-        elif discipline == "power-of-d":
-            d = self.policy.d
-            cand_stage = np.zeros((num_seeds, num_epochs, d), dtype=np.int32)
-            for s, trace in enumerate(traces):
-                n = trace.num_calls
-                draws = self.policy.route_draws(trace)
-                n_alts = self._alt_counts[call_entry[:n, s]]
-                cand_stage[s, :n, :] = (draws * n_alts[:, None]).astype(np.int64)
-            self._candidates = np.ascontiguousarray(
-                cand_stage.transpose(1, 0, 2)
-            )
 
     # -------------------------------------------------------------- kernel
 
@@ -313,7 +271,6 @@ class BatchSimulator:
         admit_flat = admit_pid.reshape(-1)
         off_col = np.arange(num_seeds, dtype=np.int32) * row_width
 
-        discipline = self.policy.discipline
         path_links = self._path_links
         path_thr = self._path_thr  # (paths + 1, width)
         prim_links = self._prim_links
@@ -324,11 +281,6 @@ class BatchSimulator:
         dep_flat, dep_off = self._dep_flat, self._dep_off
         bounds = self._dep_bounds
         call_entry = self._call_entry
-        if discipline == "dar":
-            sticky = np.zeros((num_seeds, entry_primary.size), dtype=np.int32)
-            resample = self._resample
-        elif discipline == "power-of-d":
-            candidates = self._candidates
 
         for k0 in range(0, self._num_epochs, _CHUNK):
             k1 = min(k0 + _CHUNK, self._num_epochs)
@@ -355,34 +307,14 @@ class BatchSimulator:
                     admit_pid[k] = pid_col
                     continue
                 failed = np.flatnonzero(~ok)
-                ent_f = ent_c[kk, failed]
                 off_f = off_col[failed]
-                if discipline in ("threshold", "length-threshold"):
-                    alts = entry_alts[ent_f]
-                    cand_rows = path_links[alts] + off_f[:, None, None]
-                    feas = (occ[cand_rows] < path_thr[alts]).all(axis=2)
-                    first = feas.argmax(axis=1)
-                    picked = np.arange(failed.size), first
-                    apid = np.where(feas[picked], alts[picked], np.int32(-1))
-                    alt_rows = path_links[apid] + off_f[:, None]
-                elif discipline == "dar":
-                    idx = sticky[failed, ent_f]
-                    apid = entry_alts[ent_f, idx]
-                    alt_rows = path_links[apid] + off_f[:, None]
-                    feas = (occ[alt_rows] < path_thr[apid]).all(axis=1)
-                    bad = np.flatnonzero(~feas)
-                    if bad.size:
-                        sticky[failed[bad], ent_f[bad]] = resample[k, failed[bad]]
-                        apid[bad] = -1
-                        alt_rows[bad] = free_link
-                else:  # power-of-d
-                    picks = candidates[k, failed]
-                    apidc = entry_alts[ent_f[:, None], picks]
-                    cand_rows = path_links[apidc] + off_f[:, None, None]
-                    score = (path_thr[apidc] - occ[cand_rows]).min(axis=2)
-                    best = np.arange(failed.size), score.argmax(axis=1)
-                    apid = np.where(score[best] >= 1, apidc[best], np.int32(-1))
-                    alt_rows = path_links[apid] + off_f[:, None]
+                alts = entry_alts[ent_c[kk, failed]]
+                cand_rows = path_links[alts] + off_f[:, None, None]
+                feas = (occ[cand_rows] < path_thr[alts]).all(axis=2)
+                first = feas.argmax(axis=1)
+                picked = np.arange(failed.size), first
+                apid = np.where(feas[picked], alts[picked], np.int32(-1))
+                alt_rows = path_links[apid] + off_f[:, None]
                 pid_col = pid_col.copy()
                 pid_col[failed] = apid
                 admitted = rows.copy()
@@ -432,16 +364,3 @@ class BatchSimulator:
             )
         return results
 
-
-def simulate_batch(
-    network: Network,
-    policy: RoutingPolicy,
-    traces: Sequence[ArrivalTrace],
-    warmup: float = 10.0,
-) -> list[SimulationResult]:
-    """Convenience wrapper: one :class:`BatchSimulator` pass over ``traces``.
-
-    Raises :class:`ValueError` (naming the :func:`batch_ineligibility` reason)
-    when the configuration needs a per-seed loop instead.
-    """
-    return BatchSimulator(network, policy, traces, warmup).run()

@@ -156,22 +156,14 @@ class LossNetworkSimulator:
     def run(self, backend: str = "auto") -> SimulationResult:
         """Run the simulation under the requested ``backend``.
 
-        ``backend="auto"`` (the default) picks the fastest engine whose
-        specialization fits; ``"batch"`` requests the lockstep array kernel
-        (one-seed batch); ``"fast"`` the per-seed vectorized loop;
-        ``"reference"`` forces the general event loop.  All engines make the
+        ``backend="auto"`` (the default) and ``"fast"`` run the fast loop
+        when its specialization fits and the general loop otherwise;
+        ``"reference"`` forces the general event loop.  Both loops make the
         identical admission decisions in the identical order, so the returned
-        statistics are bit-identical regardless of backend — ineligible
-        requests silently fall back down the chain (batch → fast → general).
+        statistics are bit-identical regardless of backend.
         """
         if backend == "reference":
             return self._run_general()
-        if backend == "batch" and self._batch_eligible():
-            from .batch import BatchSimulator
-
-            return BatchSimulator(
-                self.network, self.policy, [self.trace], self.warmup
-            ).run()[0]
         if self._fast_eligible():
             return self._run_fast()
         return self._run_general()
@@ -185,17 +177,6 @@ class LossNetworkSimulator:
             and trace.bandwidths is None
             and trace.class_index is None
             and self.policy.discipline in FIRST_FEASIBLE
-        )
-
-    def _batch_eligible(self) -> bool:
-        from .batch import batch_ineligibility
-
-        return (
-            self.faults is None
-            and self.timeline_bin is None
-            and not self.collect_link_stats
-            and self.initial_occupancy is None
-            and batch_ineligibility(self.policy, [self.trace]) is None
         )
 
     def _run_fast(
@@ -715,9 +696,9 @@ class LossNetworkSimulator:
         alternate; if that is infeasible the call is lost and the pair
         resamples its sticky index from the call's positional draw in
         ``policy.route_draws(trace)`` — draw ``j`` belongs to call ``j``
-        whether or not earlier calls consumed theirs, which is what keeps
-        the scalar loop and the batch kernel on identical streams.  Sticky
-        state resets on fault-plane reconvergence (the closure is rebuilt).
+        whether or not earlier calls consumed theirs, so a call's draw does
+        not depend on which earlier calls were blocked.  Sticky state resets
+        on fault-plane reconvergence (the closure is rebuilt).
         """
         draws = policy.route_draws(self.trace)
         sticky = [0] * len(self.trace.od_pairs)
@@ -741,9 +722,7 @@ class LossNetworkSimulator:
         A primary-blocked call samples ``d`` alternates (with replacement)
         from its positional draw row and takes the first one attaining the
         best bottleneck score ``min(bound - occupancy)``; it is admitted
-        iff that score covers the call's width.  Evaluating the score for
-        infeasible candidates too keeps the selection identical to the batch
-        kernel's argmax formulation.
+        iff that score covers the call's width.
         """
         draws = policy.route_draws(self.trace)
 
@@ -850,8 +829,7 @@ def simulate(
     Every constructor knob is plumbed through, so link statistics, warm
     starts and the dynamic fault plane are all reachable without touching
     the class directly.  ``backend`` selects the engine (``"auto"`` /
-    ``"batch"`` / ``"fast"`` / ``"reference"``, see
-    :meth:`LossNetworkSimulator.run`).
+    ``"fast"`` / ``"reference"``, see :meth:`LossNetworkSimulator.run`).
     """
     from .._compat import resolve_backend
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .graph import Network
 
@@ -344,11 +343,3 @@ def alternate_path_census(table: PathTable) -> dict[str, float]:
         "min": float(min(counts)),
         "pairs": float(len(counts)),
     }
-
-
-def iter_routes(
-    table: PathTable,
-) -> Iterator[tuple[tuple[int, int], Sequence[Path]]]:
-    """Iterate ``(od, routes)`` over all connected pairs."""
-    for od in table.od_pairs():
-        yield od, table.routes(od)

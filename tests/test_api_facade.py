@@ -116,6 +116,24 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="policies"):
             study.outcome
 
+    @pytest.mark.parametrize("lab", [False, True], ids=["direct", "lab"])
+    def test_workload_built_once_per_study(self, lab, tmp_path, monkeypatch):
+        import repro.api
+        from repro.api import LabConfig
+
+        calls = []
+        build = repro.api.build_workload
+        monkeypatch.setattr(repro.api, "build_workload",
+                            lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        config = ReplicationConfig(measured_duration=5.0, warmup=1.0,
+                                   seeds=(0, 1, 2))
+        run_study(
+            Scenario(topology="quadrangle", traffic=20.0,
+                     workload="adversarial:7"),
+            config=config, lab=LabConfig(store=tmp_path) if lab else None,
+        )
+        assert len(calls) == 1
+
     def test_top_level_reexports(self):
         import repro
 

@@ -3,16 +3,20 @@
 The batch simulator's contract is exact: for every seed the per-pair
 offered/blocked counters, the carried splits and every derived statistic
 must match ``backend="reference"`` bit for bit — on stationary NSFNet
-traffic, on adversarial workload traces, and for each supported routing
-discipline (threshold, DAR, power-of-d).  The plumbing half covers the
-``backend=`` redesign: fault planes fall back transparently, seed order
-cannot matter, every :class:`StudyResult` names the backend behind each
-policy and carries the per-seed arrays whichever engine ran, and the lab
-records the producing backend in provenance without disturbing job keys
-(so batch-produced results keep serving later runs from cache).
+traffic and on adversarial workload traces, for the first-feasible
+disciplines it serves.  DAR and power-of-d run on the general loop; their
+study results are pinned to digests of the reference loop's counters.  The
+plumbing half covers the ``backend=`` keyword: fault planes fall back
+transparently, seed order cannot matter, every :class:`StudyResult` names
+the backend behind each policy and carries the per-seed arrays whichever
+engine ran, and the lab records the producing backend in provenance without
+disturbing job keys (so batch-produced results keep serving later runs from
+cache).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from repro.routing.alternate import (
     UncontrolledAlternateRouting,
 )
 from repro.routing.dar import DynamicAlternateRouting, PowerOfDAlternateRouting
-from repro.sim.batch import BatchSimulator, batch_ineligibility, simulate_batch
+from repro.sim.batch import BatchSimulator, batch_ineligibility
 from repro.sim.faultplane import single_failure_timeline
 from repro.sim.simulator import simulate
 from repro.sim.trace import generate_trace
@@ -58,7 +62,7 @@ class TestBitIdentity:
         loads = primary_link_loads(network, table, traffic)
         policy = ControlledAlternateRouting(network, table, loads)
         traces = [generate_trace(traffic, 40.0, seed) for seed in range(4)]
-        batch = simulate_batch(network, policy, traces, warmup=10.0)
+        batch = BatchSimulator(network, policy, traces, warmup=10.0).run()
         for trace, result in zip(traces, batch):
             ref = simulate(network, policy, trace, warmup=10.0,
                            backend="reference")
@@ -68,7 +72,7 @@ class TestBitIdentity:
         network, table, traffic = _nsfnet()
         policy = UncontrolledAlternateRouting(network, table)
         traces = [generate_trace(traffic, 30.0, seed) for seed in (2, 9)]
-        batch = simulate_batch(network, policy, traces, warmup=10.0)
+        batch = BatchSimulator(network, policy, traces, warmup=10.0).run()
         for trace, result in zip(traces, batch):
             ref = simulate(network, policy, trace, warmup=10.0,
                            backend="reference")
@@ -79,69 +83,77 @@ class TestBitIdentity:
                             policy="controlled", workload="adversarial:7")
         policy = scenario.build_policy("controlled")
         traces = [scenario.make_trace(30.0, seed) for seed in range(3)]
-        batch = simulate_batch(scenario.network, policy, traces, warmup=10.0)
+        batch = BatchSimulator(scenario.network, policy, traces,
+                               warmup=10.0).run()
         for trace, result in zip(traces, batch):
             ref = simulate(scenario.network, policy, trace, warmup=10.0,
                            backend="reference")
             _assert_bit_identical(result, ref, f"seed {trace.seed}")
-
-    def test_single_seed_backend_batch_matches_fast(self):
-        network, table, traffic = _nsfnet()
-        loads = primary_link_loads(network, table, traffic)
-        policy = ControlledAlternateRouting(network, table, loads)
-        trace = generate_trace(traffic, 30.0, 5)
-        via_batch = simulate(network, policy, trace, warmup=10.0,
-                             backend="batch")
-        via_fast = simulate(network, policy, trace, warmup=10.0,
-                            backend="fast")
-        _assert_bit_identical(via_batch, via_fast)
 
     def test_seed_order_invariance(self):
         network, table, traffic = _nsfnet()
         loads = primary_link_loads(network, table, traffic)
         policy = ControlledAlternateRouting(network, table, loads)
         traces = [generate_trace(traffic, 30.0, seed) for seed in range(4)]
-        forward = simulate_batch(network, policy, traces, warmup=10.0)
-        backward = simulate_batch(network, policy, traces[::-1], warmup=10.0)
+        forward = BatchSimulator(network, policy, traces, warmup=10.0).run()
+        backward = BatchSimulator(network, policy, traces[::-1],
+                                  warmup=10.0).run()
         for res_f, res_b in zip(forward, backward[::-1]):
             _assert_bit_identical(res_f, res_b, "order")
 
 
 class TestRandomAlternateDisciplines:
-    @pytest.mark.parametrize("reservation", [0, 2])
-    def test_dar_matches_scalar_loop(self, reservation):
+    """DAR and power-of-d have no batch kernel: a study of them runs on the
+    general loop, and its counters must still equal what the reference loop
+    gave for the same traces (SHA-256 of every seed's counters in seed
+    order, recorded with ``backend="reference"``)."""
+
+    @staticmethod
+    def _study_digest(network, policy, traffic, seeds):
+        traces = [generate_trace(traffic, 30.0, seed) for seed in seeds]
+        assert policy.discipline in batch_ineligibility(policy, traces)
+        outcome = run_replications_detailed(
+            network, policy, traffic,
+            ReplicationConfig(measured_duration=20.0, seeds=tuple(seeds)),
+            traces=traces,
+        )
+        assert outcome.backend == "auto"
+        digest = hashlib.sha256()
+        for result in outcome.results:
+            for counter in _COUNTERS:
+                digest.update(
+                    np.asarray(getattr(result, counter), dtype=np.int64).tobytes()
+                )
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("reservation, expected", [
+        (0, "858d18fe83fb0a53b4661fa097aa8974033fd68bd75dfca0d5d41dbeadb2078b"),
+        (2, "d28f5c7cdc3b4f308b218e5c9752ca89e23ee0c7ffc00418b9d5c7ea9d8c72ca"),
+    ], ids=["0", "2"])
+    def test_dar_matches_scalar_loop(self, reservation, expected):
         network, table, traffic = _nsfnet()
         policy = DynamicAlternateRouting(
             network, table, trunk_reservation=reservation
         )
-        traces = [generate_trace(traffic, 30.0, seed) for seed in range(3)]
-        batch = simulate_batch(network, policy, traces, warmup=10.0)
-        for trace, result in zip(traces, batch):
-            ref = simulate(network, policy, trace, warmup=10.0,
-                           backend="reference")
-            _assert_bit_identical(result, ref, f"dar r={reservation}")
+        assert self._study_digest(network, policy, traffic, (0, 1, 2)) == expected
 
     def test_dar_theorem1_thresholds_match_scalar_loop(self):
         network, table, traffic = _nsfnet()
         loads = primary_link_loads(network, table, traffic)
         policy = DynamicAlternateRouting(network, table, primary_loads=loads)
-        traces = [generate_trace(traffic, 30.0, seed) for seed in (1, 6)]
-        batch = simulate_batch(network, policy, traces, warmup=10.0)
-        for trace, result in zip(traces, batch):
-            ref = simulate(network, policy, trace, warmup=10.0,
-                           backend="reference")
-            _assert_bit_identical(result, ref, "dar theorem1")
+        assert self._study_digest(network, policy, traffic, (1, 6)) == (
+            "76c442d548f11d4db2d71a807c108e29b3bd7d1f12a26b29ce161ac3811d869e"
+        )
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_power_of_d_matches_scalar_loop(self, d):
+    @pytest.mark.parametrize("d, expected", [
+        (1, "960373cf9c5d0aa8a75372d287693e3075e04876d9c052e83513f58252d4dc4c"),
+        (2, "3c78880b95339c31172c2b042303d0c4f766660d8ad258d4c55952a77fd1fbe6"),
+        (3, "6994f4f6e06ade92b16b0253eb4a8e2c876505f8a4ca6d33b8abf73c9d025af3"),
+    ], ids=["1", "2", "3"])
+    def test_power_of_d_matches_scalar_loop(self, d, expected):
         network, table, traffic = _nsfnet()
         policy = PowerOfDAlternateRouting(network, table, d=d)
-        traces = [generate_trace(traffic, 30.0, seed) for seed in range(3)]
-        batch = simulate_batch(network, policy, traces, warmup=10.0)
-        for trace, result in zip(traces, batch):
-            ref = simulate(network, policy, trace, warmup=10.0,
-                           backend="reference")
-            _assert_bit_identical(result, ref, f"power-of-{d}")
+        assert self._study_digest(network, policy, traffic, (0, 1, 2)) == expected
 
 
 class TestFallbacks:
@@ -151,13 +163,13 @@ class TestFallbacks:
         policy = ControlledAlternateRouting(network, table, loads)
         trace = generate_trace(traffic, 40.0, 11)
         timeline = single_failure_timeline(2, 3, fail_at=15.0, repair_at=30.0)
-        # A fault plane is inexpressible in the lockstep kernel; backend
-        # "batch" must degrade to the general loop, not error.
-        via_batch = simulate(network, policy, trace, warmup=10.0,
-                             faults=timeline, backend="batch")
+        # A fault plane is inexpressible in the fast loop; backend "auto"
+        # must degrade to the general loop, not error.
+        via_auto = simulate(network, policy, trace, warmup=10.0,
+                            faults=timeline, backend="auto")
         ref = simulate(network, policy, trace, warmup=10.0, faults=timeline,
                        backend="reference")
-        _assert_bit_identical(via_batch, ref)
+        _assert_bit_identical(via_auto, ref)
 
     def test_ineligibility_names_the_reason(self):
         network, table, traffic = _nsfnet()
@@ -196,6 +208,20 @@ class TestBatchResult:
         study = run_study(self._scenario(), config=self.QUICK)
         assert study.outcome.backend == "batch"
         assert study.backends == {"controlled": "batch"}
+
+    def test_controlled_and_dar_study_splits_engines(self):
+        # The shape of the paper-fidelity NSFNet study: the threshold policy
+        # runs its seeds on the kernel, DAR seed by seed on the general loop.
+        config = ReplicationConfig(measured_duration=10.0, seeds=(0, 1, 2))
+        policies = ("controlled", "dar")
+        study = run_study(Scenario(), policies=policies, config=config)
+        assert study.backends == {"controlled": "batch", "dar": "auto"}
+        reference = run_study(Scenario(), policies=policies, config=config,
+                              backend="reference")
+        for name in policies:
+            for res, ref in zip(study.outcomes[name].results,
+                                reference.outcomes[name].results, strict=True):
+                _assert_bit_identical(res, ref, name)
 
     def test_forced_per_seed_backend_returns_plain_study(self):
         study = run_study(self._scenario(), config=self.QUICK, backend="fast")

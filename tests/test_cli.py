@@ -71,6 +71,16 @@ class TestParser:
         assert args.seeds == 2
         assert args.duration == 30.0
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "cluster", "--adapt-interval", "5"],
+        ["serve", "bench", "--rate", "100"],
+    ], ids=["cluster", "bench"])
+    def test_engine_flags_only_where_an_engine_is_built(self, argv):
+        # Only `serve run` and `serve replay` build a request engine.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
 
 class TestCommands:
     def test_figure2(self, capsys):

@@ -48,7 +48,7 @@ class TestResolveBackend:
     def test_plain_backend_passes_through(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for name in ("auto", "batch", "fast", "reference"):
+            for name in ("auto", "fast", "reference"):
                 assert resolve_backend(name) == name
 
     def test_defaults_to_auto(self):
@@ -57,8 +57,11 @@ class TestResolveBackend:
             assert resolve_backend(None) == "auto"
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
+        # "batch" is provenance (the kernel ran a seed group under "auto"),
+        # not an engine a caller can request.
+        for name in ("gpu", "batch"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(name)
 
 
 class TestBackendShim:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,25 @@ class TestApiIndex:
         assert generator.build() == committed, (
             "docs/API.md is stale; run `python tools/gen_api_docs.py`"
         )
+
+    def test_generator_imports_its_checkout(self, tmp_path):
+        # `python tools/gen_api_docs.py` is the fix the stale-doc message
+        # names; it must work in a checkout that was never pip-installed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        script = (
+            "import importlib.util\n"
+            "spec = importlib.util.spec_from_file_location("
+            f"'gen_api_docs', {str(REPO / 'tools' / 'gen_api_docs.py')!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "print(module.repro.__file__)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert Path(done.stdout.strip()).is_relative_to(REPO / "src")
 
     def test_api_index_covers_core_names(self):
         text = (REPO / "docs" / "API.md").read_text()

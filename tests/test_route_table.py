@@ -30,7 +30,7 @@ from repro.serve import (
     replay_trace_cluster,
 )
 from repro.serve.loadgen import aggregate_decisions, trace_requests
-from repro.sim.batch import simulate_batch
+from repro.sim.batch import BatchSimulator
 from repro.sim.simulator import simulate
 from repro.sim.trace import generate_trace
 from repro.topology.generators import quadrangle
@@ -160,7 +160,7 @@ class TestCrossEngineEquivalence:
 
         reference = simulate(network, policy, trace, WARMUP, backend="reference")
         auto = simulate(network, policy, trace, WARMUP, backend="auto")
-        (batch,) = simulate_batch(network, policy, [trace], WARMUP)
+        (batch,) = BatchSimulator(network, policy, [trace], WARMUP).run()
         report = replay_trace(RequestEngine(network, policy), trace, warmup=WARMUP)
         assert reference.blocked.sum() > 0
         if name != "length":  # at 120 Erlangs the unsplit levels shut alternates

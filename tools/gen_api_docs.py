@@ -13,9 +13,13 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
-import repro
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+import repro  # noqa: E402
 
 SKIP_MODULES = {"repro.cli"}  # argparse surface, documented via --help
 
@@ -79,7 +83,7 @@ def build() -> str:
 
 
 def main() -> None:
-    out = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+    out = REPO / "docs" / "API.md"
     text = build()
     out.write_text(text)
     print(f"wrote {out} ({len(text.splitlines())} lines)")
