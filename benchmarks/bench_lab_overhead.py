@@ -2,20 +2,24 @@
 
 The lab runner adds hashing, per-job checkpoint writes, manifest rewrites,
 and event emission around the exact same simulation work.  This benchmark
-times the paper's nominal NSFNet study three ways:
+times the paper's nominal NSFNet study of two policies on common random
+numbers (``controlled`` and ``dar``, perfbench's study-nsfnet workload)
+three ways:
 
-* **direct** — ``run_study(scenario, config=config)``, no lab;
+* **direct** — ``run_study(scenario, policies=..., config=config)``, no lab;
 * **lab cold** — the same call through a fresh content-addressed store
   (every replication simulated and checkpointed);
 * **lab warm** — the same call against the populated store (100% cache
   hits, no simulation).
 
-The cold pass must be bit-identical to the direct run and its overhead
-must stay under the bar (default 5%; the paper-fidelity number is the
-committed ``BENCH_lab_overhead.json``).  Short CI runs amortize the fixed
-orchestration cost over far less simulation, so the bar is tunable via
-``REPRO_BENCH_LAB_OVERHEAD_PCT``.  Fidelity knobs are shared with the
-other benchmarks: ``REPRO_BENCH_SEEDS``, ``REPRO_BENCH_DURATION``.
+Two policies make the comparison honest about shared work: a direct study
+builds each seed's trace once for both policies, and so must the lab.  The
+cold pass must be bit-identical to the direct run and its overhead must
+stay under the bar (default 5%; the paper-fidelity number is the committed
+``BENCH_lab_overhead.json``, with the machine it ran on).  Short CI runs
+amortize the fixed orchestration cost over far less simulation, so the bar
+is tunable via ``REPRO_BENCH_LAB_OVERHEAD_PCT``.  Fidelity knobs are shared
+with the other benchmarks: ``REPRO_BENCH_SEEDS``, ``REPRO_BENCH_DURATION``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ _OUTPUT = _REPO_ROOT / "BENCH_lab_overhead.json"
 
 _OVERHEAD_BAR_PCT = float(os.environ.get("REPRO_BENCH_LAB_OVERHEAD_PCT", "5.0"))
 _ROUNDS = 3
+_POLICIES = ("controlled", "dar")
 
 
-def test_lab_overhead(bench_config, tmp_path):
+def test_lab_overhead(bench_config, bench_environment, tmp_path):
     scenario = Scenario()
 
     # Interleaved best-of-N: alternating direct/lab rounds cancels CPU
@@ -46,28 +51,32 @@ def test_lab_overhead(bench_config, tmp_path):
     direct = cold = None
     for round_index in range(_ROUNDS):
         start = time.perf_counter()
-        direct = run_study(scenario, config=bench_config)
+        direct = run_study(scenario, policies=_POLICIES, config=bench_config)
         best_direct = min(best_direct, time.perf_counter() - start)
 
         store = tmp_path / f"store-{round_index}"
         start = time.perf_counter()
-        cold = run_study(scenario, config=bench_config, lab=LabConfig(store=store))
+        cold = run_study(scenario, policies=_POLICIES, config=bench_config,
+                         lab=LabConfig(store=store))
         best_cold = min(best_cold, time.perf_counter() - start)
 
-    assert cold.lab.simulated == len(bench_config.seeds)
-    assert cold.stat == direct.stat
-    for a, b in zip(direct.outcome.results, cold.outcome.results):
-        assert np.array_equal(a.blocked, b.blocked)
-        assert np.array_equal(a.offered, b.offered)
+    assert cold.lab.simulated == len(_POLICIES) * len(bench_config.seeds)
+    assert cold.blocking() == direct.blocking()
+    for name in _POLICIES:
+        assert np.array_equal(cold.blocked_matrix(name),
+                              direct.blocked_matrix(name))
+        assert np.array_equal(cold.offered_matrix(name),
+                              direct.offered_matrix(name))
 
     # Warm pass: same study against the last populated store.
     store = tmp_path / f"store-{_ROUNDS - 1}"
     start = time.perf_counter()
-    warm = run_study(scenario, config=bench_config, lab=LabConfig(store=store))
+    warm = run_study(scenario, policies=_POLICIES, config=bench_config,
+                     lab=LabConfig(store=store))
     warm_seconds = time.perf_counter() - start
     assert warm.lab.cache_hits == warm.lab.total_jobs
     assert warm.lab.simulated == 0
-    assert warm.stat == direct.stat
+    assert warm.blocking() == direct.blocking()
 
     overhead_pct = 100.0 * (best_cold - best_direct) / best_direct
     assert overhead_pct <= _OVERHEAD_BAR_PCT, (
@@ -77,9 +86,11 @@ def test_lab_overhead(bench_config, tmp_path):
     )
 
     document = {
-        "schema": "repro-bench-lab-overhead-v1",
+        "schema": "repro-bench-lab-overhead-v2",
+        "environment": bench_environment,
         "workload": (
-            "repro.api.run_study: NSFNet nominal, controlled policy, "
+            "repro.api.run_study: NSFNet nominal, policies "
+            f"{' + '.join(_POLICIES)} on common random numbers, "
             f"{len(bench_config.seeds)} seeds x "
             f"{bench_config.measured_duration:g} units"
         ),

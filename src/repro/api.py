@@ -25,7 +25,7 @@ The deep imports remain public and stable — this façade only composes them::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -36,7 +36,8 @@ from .experiments.runner import (
     PAPER_CONFIG,
     ReplicationConfig,
     ReplicationOutcome,
-    run_replications_detailed,
+    _outcome,
+    _run_policies,
 )
 from .routing.alternate import (
     ControlledAlternateRouting,
@@ -80,6 +81,30 @@ _TOPOLOGIES = {
 
 _POLICIES = ("single-path", "uncontrolled", "controlled", "length-adaptive",
              "ott-krishnan", "dar", "power-of-d")
+
+
+def _unknown_policy(name: str) -> ValueError:
+    return ValueError(f"unknown policy {name!r}; use one of {list(_POLICIES)}")
+
+
+def _policy_names(scenario: "Scenario", policies) -> tuple[str, ...]:
+    """A study's policy list, checked before any work starts.
+
+    ``None`` means the scenario's own policy.  An empty list, a repeated
+    name (it would run the same jobs twice) or an unknown name raises
+    ``ValueError`` — before any trace, policy, stored result or manifest
+    exists.  :func:`run_study` and :func:`repro.lab.scheduler.run_lab_study`
+    share this check.
+    """
+    names = (scenario.policy,) if policies is None else tuple(policies)
+    if not names:
+        raise ValueError("a study needs at least one policy")
+    for name in names:
+        if name not in _POLICIES:
+            raise _unknown_policy(name)
+        if names.count(name) > 1:
+            raise ValueError(f"policy {name!r} is listed more than once")
+    return names
 
 
 def _resolve_network(spec: Network | str) -> Network:
@@ -149,9 +174,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.policy not in _POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; use one of {list(_POLICIES)}"
-            )
+            raise _unknown_policy(self.policy)
         if self.load_scale <= 0:
             raise ValueError("load_scale must be positive")
         if isinstance(self.workload, str):
@@ -194,7 +217,7 @@ class Scenario:
             return LengthAdaptiveControlledRouting(network, table, loads)
         if name == "ott-krishnan":
             return OttKrishnanRouting(network, table, loads)
-        raise ValueError(f"unknown policy {name!r}; use one of {list(_POLICIES)}")
+        raise _unknown_policy(name)
 
     def with_policy(self, name: str) -> "Scenario":
         """The same scenario under a different routing policy."""
@@ -342,9 +365,12 @@ def run_study(
 
     By default runs the scenario's own policy over ``config.seeds``;
     ``policies`` widens the study to several schemes on common random
-    numbers (identical traces per seed, the paper's comparison discipline).
-    ``parallel=True`` fans seeds over a process pool with the hardened
-    runner's timeout/retry/fallback machinery.
+    numbers, the paper's comparison discipline: each seed's trace is built
+    once (:meth:`Scenario.make_trace`) and every policy replays it.  An
+    empty policy list, a repeated name or an unknown name raises
+    ``ValueError`` before any work starts.  ``parallel=True`` fans seeds
+    over a process pool with the hardened runner's timeout/retry/fallback
+    machinery; its workers rebuild each seed's trace.
 
     ``backend`` selects the execution engine per replication group.  Under
     ``"auto"`` the serial path groups compatible seeds into one lockstep
@@ -380,20 +406,15 @@ def run_study(
             seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
             backend=backend,
         )
-    names = (scenario.policy,) if policies is None else tuple(policies)
-    workload = scenario.resolved_workload(config.duration)
-    traces = None
-    if not parallel:
-        traces = [
-            scenario.make_trace(config.duration, seed) for seed in config.seeds
-        ]
-    outcomes: dict[str, ReplicationOutcome] = {}
-    for name in names:
-        outcomes[name] = run_replications_detailed(
-            scenario.network, scenario.build_policy(name),
-            scenario.traffic_matrix, config,
-            traces=traces, parallel=parallel, max_workers=max_workers,
-            seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
-            workload=workload, backend=backend,
-        )
+    names = _policy_names(scenario, policies)
+    runs = _run_policies(
+        scenario.network, scenario.traffic_matrix, config,
+        groups={name: config.seeds for name in names},
+        build_policy=scenario.build_policy,
+        make_trace=partial(scenario.make_trace, config.duration),
+        parallel=parallel, max_workers=max_workers, seed_timeout=seed_timeout,
+        max_seed_retries=max_seed_retries,
+        workload=scenario.resolved_workload(config.duration), backend=backend,
+    )
+    outcomes = {name: _outcome(*run) for name, run in runs.items()}
     return StudyResult(outcomes=outcomes, config=config)

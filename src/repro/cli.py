@@ -85,17 +85,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .analysis.erlang_bound import erlang_bound
+    from .api import Scenario, run_study
     from .experiments.report import format_table as fmt
-    from .routing.alternate import (
-        ControlledAlternateRouting,
-        LengthAdaptiveControlledRouting,
-        UncontrolledAlternateRouting,
-    )
-    from .routing.single_path import SinglePathRouting
-    from .experiments.runner import compare_policies
     from .topology.io import load_network
-    from .topology.paths import build_path_table
-    from .traffic.demand import primary_link_loads
     from .traffic.io import load_traffic
 
     network = load_network(args.network)
@@ -105,18 +97,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"traffic is for {traffic.num_nodes} nodes but the network has "
             f"{network.num_nodes}"
         )
-    table = build_path_table(network, max_hops=args.hops)
-    loads = primary_link_loads(network, table, traffic)
-    policies = {
-        "single-path": SinglePathRouting(network, table),
-        "uncontrolled": UncontrolledAlternateRouting(network, table),
-        "controlled": ControlledAlternateRouting(network, table, loads),
-        "length-adaptive": LengthAdaptiveControlledRouting(network, table, loads),
-    }
-    stats = compare_policies(
-        network, policies, traffic, _config(args), backend=args.backend
-    )
-    controlled = policies["controlled"]
+    scenario = Scenario(topology=network, traffic=traffic, max_hops=args.hops)
+    stats = run_study(
+        scenario,
+        policies=("single-path", "uncontrolled", "controlled", "length-adaptive"),
+        config=_config(args), backend=args.backend,
+    ).blocking()
+    controlled = scenario.build_policy("controlled")
     protected = int(np.count_nonzero(controlled.protection_levels))
     bound = (
         float(erlang_bound(network, traffic)) if network.num_nodes <= 16 else None
@@ -267,7 +254,7 @@ def _run_lab_studies(studies, args, config=None) -> int:
 
 
 def _cmd_lab_run(args: argparse.Namespace) -> int:
-    from .api import Scenario
+    from .api import Scenario, _policy_names
 
     if args.experiment:
         from .experiments.registry import experiment_job_graph
@@ -278,14 +265,19 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
             message = exc.args[0] if exc.args else str(exc)
             raise SystemExit(f"lab run: {message}")
         return _run_lab_studies(studies, args)
-    scenario = Scenario(
-        topology=args.topology,
-        traffic=_parse_lab_traffic(args.traffic),
-        policy=args.policies[0],
-        max_hops=args.hops,
-        load_scale=args.load_scale,
-    )
-    return _run_lab_studies([(scenario, tuple(args.policies))], args)
+    traffic = _parse_lab_traffic(args.traffic)
+    try:
+        scenario = Scenario(
+            topology=args.topology,
+            traffic=traffic,
+            policy=args.policies[0],
+            max_hops=args.hops,
+            load_scale=args.load_scale,
+        )
+        policies = _policy_names(scenario, args.policies)
+    except ValueError as exc:
+        raise SystemExit(f"lab run: {exc}")
+    return _run_lab_studies([(scenario, policies)], args)
 
 
 def _latest_study(store) -> str | None:

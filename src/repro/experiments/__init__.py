@@ -21,7 +21,6 @@ from .runner import (
     SeedStatus,
     SweepPoint,
     compare_policies,
-    run_replications,
     run_replications_detailed,
 )
 from .tables import Table1Row, regenerate_table1, table1_agreement
@@ -31,7 +30,6 @@ __all__ = [
     "ReplicationConfig",
     "SweepPoint",
     "compare_policies",
-    "run_replications",
     "run_replications_detailed",
     "ReplicationOutcome",
     "SeedStatus",

@@ -22,7 +22,7 @@ from ..topology.graph import Network
 from ..topology.paths import PathTable
 from ..traffic.demand import primary_link_loads
 from ..traffic.matrix import TrafficMatrix
-from .runner import PAPER_CONFIG, ReplicationConfig, run_replications
+from .runner import PAPER_CONFIG, ReplicationConfig, compare_policies
 
 __all__ = ["protection_sensitivity", "estimator_ablation"]
 
@@ -42,15 +42,16 @@ def protection_sensitivity(
     loads = primary_link_loads(network, table, traffic)
     reference = ControlledAlternateRouting(network, table, loads)
     capacities = network.capacities()
-    outcome: dict[int, SweepStatistic] = {}
-    for offset in offsets:
-        shifted = np.clip(reference.protection_levels + offset, 0, capacities)
-        policy = ControlledAlternateRouting(
-            network, table, loads, protection_override=shifted.astype(np.int64)
+    policies = {
+        int(offset): ControlledAlternateRouting(
+            network, table, loads,
+            protection_override=np.clip(
+                reference.protection_levels + offset, 0, capacities
+            ).astype(np.int64),
         )
-        stat, __ = run_replications(network, policy, traffic, config)
-        outcome[int(offset)] = stat
-    return outcome
+        for offset in offsets
+    }
+    return compare_policies(network, policies, traffic, config)
 
 
 def estimator_ablation(
@@ -80,15 +81,16 @@ def estimator_ablation(
     )
     estimated = ControlledAlternateRouting(network, table, estimated_loads)
 
-    known_stat, __ = run_replications(network, known, traffic, config)
-    estimated_stat, __ = run_replications(network, estimated, traffic, config)
+    stats = compare_policies(
+        network, {"known": known, "estimated": estimated}, traffic, config
+    )
     level_gap = int(
         np.abs(known.protection_levels - estimated.protection_levels).max()
     )
     load_error = float(np.abs(true_loads - estimated_loads).max())
     return {
-        "known": known_stat,
-        "estimated": estimated_stat,
+        "known": stats["known"],
+        "estimated": stats["estimated"],
         "max_protection_gap": level_gap,
         "max_load_error": load_error,
     }

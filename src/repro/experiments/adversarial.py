@@ -48,7 +48,7 @@ __all__ = [
 #: shapes from the issue, and the slow shift.
 STUDY_WORKLOADS = ("stationary", "diurnal", "flash-crowd", "adversarial:0")
 
-#: Serve-plane adaptation knobs used throughout the study.
+#: Serve-plane adaptation knobs used throughout the study (and EXP-CTL's).
 _UPDATE_INTERVAL = 5.0
 _EWMA_WEIGHT = 0.3
 
@@ -90,14 +90,7 @@ def _mean_scale(workload, duration: float, pairs_demands) -> float:
         return 1.0
     acc = 0.0
     for od, demand in pairs_demands:
-        profile = workload.profile_for(od)
-        edges = [0.0] + [b for b in profile.breakpoints if 0.0 < b < duration]
-        edges.append(duration)
-        mean = sum(
-            profile.scale_at(t0) * (t1 - t0)
-            for t0, t1 in zip(edges, edges[1:])
-        ) / duration
-        acc += demand * mean
+        acc += demand * workload.profile_for(od).mean_scale(duration)
     return acc / total_demand
 
 

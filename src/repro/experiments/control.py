@@ -48,6 +48,7 @@ from ..sim.metrics import aggregate
 from ..sim.simulator import simulate
 from ..traffic.demand import primary_link_loads
 from ..traffic.matrix import TrafficMatrix
+from .adversarial import _EWMA_WEIGHT, _UPDATE_INTERVAL, _study_scenario
 from .runner import PAPER_CONFIG, ReplicationConfig
 
 __all__ = [
@@ -63,21 +64,6 @@ __all__ = [
 STUDY_WORKLOADS = ("diurnal", "flash-crowd", "adversarial:0")
 
 _CONTROLLER = "gradient"
-_UPDATE_INTERVAL = 5.0
-_EWMA_WEIGHT = 0.3
-
-
-def _study_scenario(spec: str | None, max_hops: int, load_scale: float):
-    from ..api import Scenario
-
-    return Scenario(
-        topology="nsfnet",
-        traffic="nominal",
-        policy="controlled",
-        max_hops=max_hops,
-        load_scale=load_scale,
-        workload=spec,
-    )
 
 
 def hindsight_matrix(
@@ -93,14 +79,9 @@ def hindsight_matrix(
         return traffic
     array = traffic.as_array().copy()
     for od, demand in traffic.positive_pairs():
-        profile = workload.profile_for(od)
-        edges = [0.0] + [b for b in profile.breakpoints if 0.0 < b < duration]
-        edges.append(duration)
-        mean = sum(
-            profile.scale_at(t0) * (t1 - t0)
-            for t0, t1 in zip(edges, edges[1:])
-        ) / duration
-        array[od[0], od[1]] = demand * mean
+        array[od[0], od[1]] = demand * workload.profile_for(od).mean_scale(
+            duration
+        )
     return TrafficMatrix(array)
 
 
@@ -159,7 +140,7 @@ def control_loop_study(
     """Run the full EXP-CTL comparison; returns a JSON-ready document."""
     from ..serve.loadgen import measure_regime_shift
 
-    reference = _study_scenario(None, max_hops, load_scale)
+    reference = _study_scenario("stationary", max_hops, load_scale)
     network = reference.network
     table = reference.path_table
     traffic = reference.traffic_matrix

@@ -11,6 +11,12 @@ plot-library-free by design); the benchmark harnesses print the same rows.
   data on linear and log scales).
 * :func:`nsfnet_sweep` — Figures 6 and 7: blocking vs load multiplier on
   the NSFNet model (nominal load = 10), same four series, for a given ``H``.
+
+Each sweep is defined once, as a job graph ``{load: (Scenario, policies)}``
+(:func:`quadrangle_jobs`, :func:`nsfnet_jobs`) that :func:`run_sweep` runs
+through :func:`repro.api.run_study`.  The experiment registry derives the
+printed report, the ``--json`` document and the lab's job graph
+(``repro-routing lab run --experiment FIG3``) from the same definition.
 """
 
 from __future__ import annotations
@@ -21,21 +27,13 @@ import numpy as np
 
 from ..analysis.erlang_bound import erlang_bound
 from ..core.protection import figure2_curve
-from ..routing.alternate import ControlledAlternateRouting, UncontrolledAlternateRouting
-from ..routing.shadow import OttKrishnanRouting
-from ..routing.single_path import SinglePathRouting
-from ..topology.generators import quadrangle
-from ..topology.graph import Network
-from ..topology.nsfnet import nsfnet_backbone
-from ..topology.paths import PathTable, build_path_table
-from ..traffic.calibration import nsfnet_nominal_traffic
-from ..traffic.demand import primary_link_loads
-from ..traffic.generators import uniform_traffic
-from ..traffic.matrix import TrafficMatrix
-from .runner import PAPER_CONFIG, ReplicationConfig, SweepPoint, compare_policies
+from .runner import PAPER_CONFIG, ReplicationConfig, SweepPoint
 
 __all__ = [
     "figure2_protection_levels",
+    "quadrangle_jobs",
+    "nsfnet_jobs",
+    "run_sweep",
     "quadrangle_sweep",
     "nsfnet_sweep",
     "QUADRANGLE_LOADS",
@@ -60,47 +58,85 @@ def figure2_protection_levels(
     return {h: figure2_curve(capacity, h, loads) for h in hops}
 
 
-def _standard_policies(
-    network: Network,
-    table: PathTable,
-    traffic: TrafficMatrix,
+def _policies(include_ott_krishnan: bool) -> tuple[str, ...]:
+    base = ("single-path", "uncontrolled", "controlled")
+    return base + (("ott-krishnan",) if include_ott_krishnan else ())
+
+
+def quadrangle_jobs(
+    loads: Sequence[float] = QUADRANGLE_LOADS,
     include_ott_krishnan: bool = False,
-) -> dict[str, object]:
-    loads = primary_link_loads(network, table, traffic)
-    policies: dict[str, object] = {
-        "single-path": SinglePathRouting(network, table),
-        "uncontrolled": UncontrolledAlternateRouting(network, table),
-        "controlled": ControlledAlternateRouting(network, table, loads),
+) -> dict[float, tuple]:
+    """Figures 3/4's job graph: ``{load: (Scenario, policies)}``.
+
+    One study per per-pair offered load on the quadrangle, every policy on
+    common random numbers.  Protection levels are recomputed at every load
+    point from that point's primary demands, exactly as a deployed link
+    would ("based on its current estimate of the resource demand").
+    """
+    from ..api import Scenario
+
+    policies = _policies(include_ott_krishnan)
+    return {
+        float(per_pair): (
+            Scenario(topology="quadrangle", traffic=float(per_pair)), policies
+        )
+        for per_pair in loads
     }
-    if include_ott_krishnan:
-        policies["ott-krishnan"] = OttKrishnanRouting(network, table, loads)
-    return policies
+
+
+def nsfnet_jobs(
+    load_values: Sequence[float] = NSFNET_LOAD_MULTIPLIERS,
+    max_hops: int | None = None,
+    include_ott_krishnan: bool = False,
+) -> dict[float, tuple]:
+    """Figures 6/7's job graph: ``{load: (Scenario, policies)}``.
+
+    ``load_values`` use the paper's axis units where 10 is the nominal
+    (calibrated) matrix; other loads scale it linearly.  ``max_hops=None``
+    reproduces the unlimited-alternates setting (``H = 11``); pass 6 for
+    the Section-4.2.2 restriction.
+    """
+    from ..api import Scenario
+
+    policies = _policies(include_ott_krishnan)
+    return {
+        float(load): (
+            Scenario(topology="nsfnet", traffic="nominal",
+                     load_scale=load / 10.0, max_hops=max_hops),
+            policies,
+        )
+        for load in load_values
+    }
+
+
+def run_sweep(
+    jobs: dict[float, tuple], config: ReplicationConfig = PAPER_CONFIG
+) -> list[SweepPoint]:
+    """Run a sweep's job graph through :func:`repro.api.run_study`.
+
+    One :class:`SweepPoint` per load, with each policy's blocking and the
+    Erlang cut-set bound of that point's network and traffic.
+    """
+    from ..api import run_study
+
+    points: list[SweepPoint] = []
+    for load, (scenario, policies) in jobs.items():
+        study = run_study(scenario, policies=policies, config=config)
+        points.append(SweepPoint(
+            load=load, blocking=study.blocking(),
+            erlang_bound=erlang_bound(scenario.network, scenario.traffic_matrix),
+        ))
+    return points
 
 
 def quadrangle_sweep(
     loads: Sequence[float] = QUADRANGLE_LOADS,
-    capacity: int = 100,
-    max_hops: int | None = None,
     config: ReplicationConfig = PAPER_CONFIG,
     include_ott_krishnan: bool = False,
 ) -> list[SweepPoint]:
-    """Figures 3/4: blocking vs per-pair offered load on the quadrangle.
-
-    Protection levels are recomputed at every load point from that point's
-    primary demands, exactly as a deployed link would ("based on its current
-    estimate of the resource demand").
-    """
-    network = quadrangle(capacity)
-    table = build_path_table(network, max_hops=max_hops)
-    points: list[SweepPoint] = []
-    for per_pair in loads:
-        traffic = uniform_traffic(network.num_nodes, per_pair)
-        policies = _standard_policies(network, table, traffic, include_ott_krishnan)
-        blocking = compare_policies(network, policies, traffic, config)  # type: ignore[arg-type]
-        point = SweepPoint(load=float(per_pair), blocking=blocking)
-        point.erlang_bound = erlang_bound(network, traffic)
-        points.append(point)
-    return points
+    """Figures 3/4: blocking vs per-pair offered load on the quadrangle."""
+    return run_sweep(quadrangle_jobs(loads, include_ott_krishnan), config)
 
 
 def nsfnet_sweep(
@@ -111,20 +147,8 @@ def nsfnet_sweep(
 ) -> list[SweepPoint]:
     """Figures 6/7: blocking vs load on the NSFNet model.
 
-    ``load_values`` use the paper's axis units where 10 is the nominal
-    (calibrated) matrix; other loads scale it linearly.  ``max_hops=None``
-    reproduces the unlimited-alternates setting (``H = 11``); pass 6 for
-    the Section-4.2.2 restriction.
+    :func:`nsfnet_jobs` explains the load axis and ``max_hops``.
     """
-    network = nsfnet_backbone()
-    table = build_path_table(network, max_hops=max_hops)
-    nominal = nsfnet_nominal_traffic()
-    points: list[SweepPoint] = []
-    for load in load_values:
-        traffic = nominal.scaled(load / 10.0)
-        policies = _standard_policies(network, table, traffic, include_ott_krishnan)
-        blocking = compare_policies(network, policies, traffic, config)  # type: ignore[arg-type]
-        point = SweepPoint(load=float(load), blocking=blocking)
-        point.erlang_bound = erlang_bound(network, traffic)
-        points.append(point)
-    return points
+    return run_sweep(
+        nsfnet_jobs(load_values, max_hops, include_ott_krishnan), config
+    )

@@ -15,18 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..routing.alternate import (
-    ControlledAlternateRouting,
-    UncontrolledAlternateRouting,
-)
-from ..routing.single_path import SinglePathRouting
 from ..sim.metrics import SweepStatistic
 from ..topology.generators import random_mesh, torus, waxman_mesh
 from ..topology.graph import Network
-from ..topology.paths import build_path_table
-from ..traffic.demand import primary_link_loads
 from ..traffic.generators import gravity_traffic
-from .runner import PAPER_CONFIG, ReplicationConfig, compare_policies
+from .runner import PAPER_CONFIG, ReplicationConfig
 
 __all__ = ["MeshCase", "STANDARD_MESH_CASES", "general_mesh_comparison"]
 
@@ -69,15 +62,14 @@ def general_mesh_comparison(
     sparse NSFNet, so a hop cap is the realistic configuration — and lowers
     the protection levels per Section 3.2).
     """
-    outcome: dict[str, dict[str, SweepStatistic]] = {}
-    for case in cases:
-        table = build_path_table(case.network, max_hops=max_hops)
-        traffic = case.traffic()
-        loads = primary_link_loads(case.network, table, traffic)
-        policies = {
-            "single-path": SinglePathRouting(case.network, table),
-            "uncontrolled": UncontrolledAlternateRouting(case.network, table),
-            "controlled": ControlledAlternateRouting(case.network, table, loads),
-        }
-        outcome[case.name] = compare_policies(case.network, policies, traffic, config)
-    return outcome
+    from ..api import Scenario, run_study
+
+    return {
+        case.name: run_study(
+            Scenario(topology=case.network, traffic=case.traffic(),
+                     max_hops=max_hops),
+            policies=("single-path", "uncontrolled", "controlled"),
+            config=config,
+        ).blocking()
+        for case in cases
+    }

@@ -19,8 +19,6 @@ from ..routing.minloss import MinLossSolution, optimize_primary_flows
 from ..routing.single_path import SinglePathRouting
 from ..sim.failures import FailureScenario, apply_failures
 from ..sim.metrics import SweepStatistic
-from ..sim.simulator import simulate
-from ..sim.trace import generate_trace
 from ..topology.nsfnet import nsfnet_backbone
 from ..topology.paths import build_path_table
 from ..traffic.calibration import nsfnet_nominal_traffic
@@ -76,36 +74,22 @@ def fairness_comparison(
     Counts are pooled across seeds before forming per-pair probabilities,
     since individual pairs see few calls per run.
     """
-    network = nsfnet_backbone()
-    table = build_path_table(network, max_hops=max_hops)
-    traffic = nsfnet_nominal_traffic().scaled(load_scale)
-    loads = primary_link_loads(network, table, traffic)
-    policies = {
-        "single-path": SinglePathRouting(network, table),
-        "uncontrolled": UncontrolledAlternateRouting(network, table),
-        "controlled": ControlledAlternateRouting(network, table, loads),
-    }
-    traces = [generate_trace(traffic, config.duration, seed) for seed in config.seeds]
+    from ..api import Scenario, run_study
+
+    names = ("single-path", "uncontrolled", "controlled")
+    scenario = Scenario(topology="nsfnet", traffic="nominal",
+                        max_hops=max_hops, load_scale=load_scale)
+    study = run_study(scenario, policies=names, config=config)
     reports: dict[str, FairnessReport] = {}
-    for name, policy in policies.items():
-        blocked = None
-        offered = None
-        od_pairs = ()
-        for trace in traces:
-            result = simulate(network, policy, trace, config.warmup)
-            od_pairs = result.od_pairs
-            if blocked is None:
-                blocked = result.blocked.astype(float)
-                offered = result.offered.astype(float)
-            else:
-                blocked += result.blocked
-                offered += result.offered
-        pair_blocking = {
+    for name in names:
+        od_pairs = study.outcomes[name].results[0].od_pairs
+        blocked = study.blocked_matrix(name).sum(axis=0)
+        offered = study.offered_matrix(name).sum(axis=0)
+        reports[name] = fairness_report({
             od: blocked[i] / offered[i]
             for i, od in enumerate(od_pairs)
             if offered[i] > 0
-        }
-        reports[name] = fairness_report(pair_blocking)
+        })
     return reports
 
 

@@ -12,13 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .figures import figure2_protection_levels, nsfnet_sweep, quadrangle_sweep
+from .figures import (
+    figure2_protection_levels,
+    nsfnet_jobs,
+    quadrangle_jobs,
+    run_sweep,
+)
 from .generalization import general_mesh_comparison
 from .optimal_r import empirical_optimal_reservation
 from .prose import fairness_comparison, link_failure_comparison, minloss_comparison
 from .robustness import dynamic_failure_comparison, forecast_error_sweep
 from .report import format_sweep, format_table, format_table1
 from .runner import PAPER_CONFIG, ReplicationConfig
+from .storage import statistic_to_dict, sweep_document
 from .tables import regenerate_table1, table1_agreement
 
 __all__ = [
@@ -58,46 +64,26 @@ class Experiment:
     jobs: Callable[[], list[tuple["Scenario", tuple[str, ...]]]] | None = None
 
 
-_SWEEP_POLICIES = ("single-path", "uncontrolled", "controlled")
+def _sweep(
+    experiment_id: str, title: str, bench: str, heading: str,
+    jobs: Callable[[], dict], appendix: Callable[[], str] | None = None,
+) -> Experiment:
+    """A load sweep's registry entry, all derived from its job graph.
 
+    ``jobs()`` is the sweep's one definition (``{load: (Scenario,
+    policies)}``, from :mod:`repro.experiments.figures`): the report and the
+    ``--json`` document run it through :func:`run_sweep`, and the lab runs
+    its studies.  ``appendix``, if given, adds text below the report.
+    """
+    def report(config: ReplicationConfig) -> str:
+        text = format_sweep(run_sweep(jobs(), config), heading)
+        return text if appendix is None else text + appendix()
 
-def _fig3_jobs() -> list:
-    from ..api import Scenario
-    from .figures import QUADRANGLE_LOADS
+    def data(config: ReplicationConfig) -> dict:
+        return sweep_document(run_sweep(jobs(), config), config, heading)
 
-    return [
-        (Scenario(topology="quadrangle", traffic=float(per_pair)),
-         _SWEEP_POLICIES)
-        for per_pair in QUADRANGLE_LOADS
-    ]
-
-
-def _nsfnet_jobs(load_values, max_hops=None, include_ott_krishnan=False) -> list:
-    from ..api import Scenario
-
-    policies = _SWEEP_POLICIES + (("ott-krishnan",) if include_ott_krishnan else ())
-    return [
-        (Scenario(topology="nsfnet", traffic="nominal",
-                  load_scale=load / 10.0, max_hops=max_hops),
-         policies)
-        for load in load_values
-    ]
-
-
-def _fig6_jobs() -> list:
-    from .figures import NSFNET_LOAD_MULTIPLIERS
-
-    return _nsfnet_jobs(NSFNET_LOAD_MULTIPLIERS)
-
-
-def _h6_jobs() -> list:
-    from .figures import NSFNET_LOAD_MULTIPLIERS
-
-    return _nsfnet_jobs(NSFNET_LOAD_MULTIPLIERS, max_hops=6)
-
-
-def _ott_krishnan_jobs() -> list:
-    return _nsfnet_jobs((10.0, 12.0), include_ott_krishnan=True)
+    return Experiment(experiment_id, title, bench, report, data,
+                      lambda: list(jobs().values()))
 
 
 def _fig2(config: ReplicationConfig) -> str:
@@ -124,38 +110,19 @@ def _tab1(config: ReplicationConfig) -> str:
     )
 
 
-def _fig3(config: ReplicationConfig) -> str:
-    points = quadrangle_sweep(config=config)
-    return format_sweep(points, "Figures 3/4: quadrangle blocking vs per-pair load")
-
-
-def _fig6(config: ReplicationConfig) -> str:
-    points = nsfnet_sweep(config=config)
-    return format_sweep(points, "Figures 6/7: NSFNet blocking vs load (nominal=10), H=11")
-
-
-def _h6(config: ReplicationConfig) -> str:
+def _h6_census() -> str:
     from ..topology.nsfnet import nsfnet_backbone
     from ..topology.paths import alternate_path_census, build_path_table
 
-    points = nsfnet_sweep(max_hops=6, config=config)
     network = nsfnet_backbone()
     rows = []
     for hops in (6, 9, 11):
         census = alternate_path_census(build_path_table(network, max_hops=hops))
         rows.append([hops, census["mean"], int(census["max"]), int(census["min"])])
     return (
-        format_sweep(points, "Section 4.2.2: NSFNet with H=6")
-        + "\n\nNSFNet alternate-path census by hop limit H\n"
+        "\n\nNSFNet alternate-path census by hop limit H\n"
         + format_table(["H", "mean", "max", "min"], rows)
     )
-
-
-def _ott_krishnan(config: ReplicationConfig) -> str:
-    points = nsfnet_sweep(
-        load_values=(10.0, 12.0), config=config, include_ott_krishnan=True
-    )
-    return format_sweep(points, "Section 4.2: Ott-Krishnan comparator on NSFNet")
 
 
 def _failures(config: ReplicationConfig) -> str:
@@ -334,41 +301,6 @@ def _dynamic_failures(config: ReplicationConfig) -> str:
     )
 
 
-def _sweep_data(points, config: ReplicationConfig, title: str) -> dict:
-    from .storage import sweep_document
-
-    return sweep_document(points, config, title)
-
-
-def _fig3_data(config: ReplicationConfig) -> dict:
-    return _sweep_data(
-        quadrangle_sweep(config=config), config,
-        "Figures 3/4: quadrangle blocking vs per-pair load",
-    )
-
-
-def _fig6_data(config: ReplicationConfig) -> dict:
-    return _sweep_data(
-        nsfnet_sweep(config=config), config,
-        "Figures 6/7: NSFNet blocking vs load (nominal=10), H=11",
-    )
-
-
-def _h6_data(config: ReplicationConfig) -> dict:
-    return _sweep_data(
-        nsfnet_sweep(max_hops=6, config=config), config,
-        "Section 4.2.2: NSFNet with H=6",
-    )
-
-
-def _ott_krishnan_data(config: ReplicationConfig) -> dict:
-    return _sweep_data(
-        nsfnet_sweep(load_values=(10.0, 12.0), config=config,
-                     include_ott_krishnan=True),
-        config, "Section 4.2: Ott-Krishnan comparator on NSFNet",
-    )
-
-
 def _tab1_data(config: ReplicationConfig) -> dict:
     rows = regenerate_table1()
     agreement = table1_agreement(rows)
@@ -387,8 +319,6 @@ def _tab1_data(config: ReplicationConfig) -> dict:
 
 
 def _dynamic_failures_data(config: ReplicationConfig) -> dict:
-    from .storage import statistic_to_dict
-
     reports = dynamic_failure_comparison(config=config)
     return {
         "policies": {
@@ -488,15 +418,21 @@ EXPERIMENTS: dict[str, Experiment] = {
                    "bench_fig2_protection_levels.py", _fig2),
         Experiment("TAB1", "NSFNet loads and protection levels",
                    "bench_table1_protection_levels.py", _tab1, _tab1_data),
-        Experiment("FIG3", "quadrangle blocking sweep (also Figure 4)",
-                   "bench_fig3_quadrangle.py", _fig3, _fig3_data, _fig3_jobs),
-        Experiment("FIG6", "NSFNet blocking sweep, H=11 (also Figure 7)",
-                   "bench_fig6_nsfnet.py", _fig6, _fig6_data, _fig6_jobs),
-        Experiment("EXP-H6", "NSFNet blocking sweep, H=6",
-                   "bench_h6_restriction.py", _h6, _h6_data, _h6_jobs),
-        Experiment("EXP-OK", "Ott-Krishnan shadow-price comparator",
-                   "bench_ott_krishnan.py", _ott_krishnan, _ott_krishnan_data,
-                   _ott_krishnan_jobs),
+        _sweep("FIG3", "quadrangle blocking sweep (also Figure 4)",
+               "bench_fig3_quadrangle.py",
+               "Figures 3/4: quadrangle blocking vs per-pair load",
+               quadrangle_jobs),
+        _sweep("FIG6", "NSFNet blocking sweep, H=11 (also Figure 7)",
+               "bench_fig6_nsfnet.py",
+               "Figures 6/7: NSFNet blocking vs load (nominal=10), H=11",
+               nsfnet_jobs),
+        _sweep("EXP-H6", "NSFNet blocking sweep, H=6",
+               "bench_h6_restriction.py", "Section 4.2.2: NSFNet with H=6",
+               lambda: nsfnet_jobs(max_hops=6), appendix=_h6_census),
+        _sweep("EXP-OK", "Ott-Krishnan shadow-price comparator",
+               "bench_ott_krishnan.py",
+               "Section 4.2: Ott-Krishnan comparator on NSFNet",
+               lambda: nsfnet_jobs((10.0, 12.0), include_ott_krishnan=True)),
         Experiment("EXP-FAIL", "link failures preserve the ordering",
                    "bench_link_failures.py", _failures),
         Experiment("EXP-DYNFAIL", "mid-run link failure, drop and recovery",

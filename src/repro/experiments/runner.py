@@ -7,14 +7,17 @@ holding times.  :class:`ReplicationConfig` captures those knobs (defaults
 are the paper's); the helpers run one policy or a labelled set of policies
 over the shared traces and aggregate network blocking across seeds.
 
-One executor runs every replication sweep, direct or through the lab
-scheduler (:mod:`repro.lab.scheduler`), and reports each seed as soon as it
-finishes.  Its parallel path is hardened against misbehaving workers: each
-seed's future gets a bounded wait (``seed_timeout``), timed-out or crashed
-seeds are retried up to ``max_seed_retries`` times (after a timeout the
-hung workers are terminated and the pool recycled), and if the pool itself
-dies (``BrokenProcessPool`` — e.g. a worker was OOM-killed) the remaining
-seeds finish serially in-process.  Every seed's fate is recorded in a
+One study loop runs every multi-policy study — :func:`compare_policies`,
+:func:`repro.api.run_study` and the lab scheduler
+(:mod:`repro.lab.scheduler`) alike: it builds each seed's trace once, hands
+every policy's seed group to one executor, and the executor reports each
+seed as soon as it finishes.  The executor's parallel path is hardened
+against misbehaving workers: each seed's future gets a bounded wait
+(``seed_timeout``), timed-out or crashed seeds are retried up to
+``max_seed_retries`` times (after a timeout the hung workers are
+terminated and the pool recycled), and if the pool itself dies
+(``BrokenProcessPool`` — e.g. a worker was OOM-killed) the remaining seeds
+finish serially in-process.  Every seed's fate is recorded in a
 :class:`SeedStatus`, and :class:`ReplicationOutcome` carries the full
 per-seed report next to the aggregate.
 """
@@ -26,7 +29,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .._compat import resolve_backend
@@ -44,7 +48,6 @@ __all__ = [
     "PAPER_CONFIG",
     "SeedStatus",
     "ReplicationOutcome",
-    "run_replications",
     "run_replications_detailed",
     "compare_policies",
 ]
@@ -439,6 +442,71 @@ def _execute(
     return statuses, ordered, pool_broken, "batch" if used_batch else backend
 
 
+def _outcome(
+    statuses: list[SeedStatus],
+    results: list[SimulationResult],
+    pool_broken: bool,
+    backend: str,
+) -> ReplicationOutcome:
+    """Aggregate one executed seed group; ``RuntimeError`` if no seed completed."""
+    if not results:
+        report = "; ".join(s.describe() for s in statuses)
+        raise RuntimeError(f"every replication seed failed: {report}")
+    stat = aggregate([result.network_blocking for result in results])
+    return ReplicationOutcome(stat, results, statuses, pool_broken, backend=backend)
+
+
+def _run_policies(
+    network: Network,
+    traffic: TrafficMatrix,
+    config: ReplicationConfig,
+    *,
+    groups: Mapping[str, Sequence[int]],
+    build_policy: Callable[[str], RoutingPolicy],
+    make_trace: Callable[[int], ArrivalTrace],
+    parallel: bool,
+    max_workers: int | None,
+    seed_timeout: float | None,
+    max_seed_retries: int,
+    workload: Workload | None,
+    backend: str,
+    on_result: Callable[[str, SeedStatus, SimulationResult], None] = (
+        lambda name, status, result: None
+    ),
+) -> dict[str, tuple[list[SeedStatus], list[SimulationResult], bool, str]]:
+    """The study loop: run each named policy over its seeds on shared traces.
+
+    ``groups`` maps each policy name to the seeds it still has to run (a
+    subset of ``config.seeds``; an empty group is skipped without building
+    its policy).  On the serial path ``make_trace(seed)`` builds one trace
+    per seed that any group runs, in ``config.seeds`` order, and every
+    policy replays it — the common-random-numbers discipline at the cost of
+    one trace per seed.  A pool's workers rebuild each trace from its seed
+    and ``workload`` instead.  Each group then runs through the replication
+    executor with the arguments of :func:`run_replications_detailed`, and
+    ``on_result(name, status, result)`` fires as each seed completes.
+    Returns each run group's ``(statuses, results, pool_broken, backend)``.
+    """
+    wanted = {seed for seeds in groups.values() for seed in seeds}
+    traces = {} if parallel else {
+        seed: make_trace(seed) for seed in config.seeds if seed in wanted
+    }
+    runs = {}
+    for name, seeds in groups.items():
+        if not seeds:
+            continue
+        runs[name] = _execute(
+            network, build_policy(name), traffic,
+            replace(config, seeds=tuple(seeds)),
+            traces=None if parallel else [traces[seed] for seed in seeds],
+            parallel=parallel, max_workers=max_workers,
+            seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
+            workload=workload, backend=backend,
+            on_result=partial(on_result, name),
+        )
+    return runs
+
+
 def run_replications_detailed(
     network: Network,
     policy: RoutingPolicy,
@@ -455,10 +523,12 @@ def run_replications_detailed(
 ) -> ReplicationOutcome:
     """Run one policy over all seeds; returns the full per-seed outcome.
 
-    ``workload`` switches trace generation to the time-varying per-pair
-    generator (:func:`~repro.traffic.workload.generate_workload_trace`);
-    ``None`` keeps the historical stationary traces bit for bit.  It is
-    ignored when explicit ``traces`` are supplied.
+    Pre-generated ``traces`` may be passed to replay them; otherwise one is
+    generated per seed.  ``workload`` switches trace generation to the
+    time-varying per-pair generator
+    (:func:`~repro.traffic.workload.generate_workload_trace`); ``None``
+    keeps the historical stationary traces bit for bit.  It is ignored when
+    explicit ``traces`` are supplied.
 
     ``backend`` selects the execution engine.  Under ``"auto"`` the serial
     path first tries to run all seeds in one lockstep batch-kernel
@@ -483,46 +553,12 @@ def run_replications_detailed(
     reported in the outcome's statuses; the sweep still completes unless
     *every* seed failed (then ``RuntimeError``).
     """
-    statuses, results, pool_broken, used = _execute(
+    return _outcome(*_execute(
         network, policy, traffic, config, traces=traces, parallel=parallel,
         max_workers=max_workers, seed_timeout=seed_timeout,
         max_seed_retries=max_seed_retries, worker=worker, workload=workload,
         backend=backend, on_result=lambda status, result: None,
-    )
-    if not results:
-        report = "; ".join(s.describe() for s in statuses)
-        raise RuntimeError(f"every replication seed failed: {report}")
-    stat = aggregate([result.network_blocking for result in results])
-    return ReplicationOutcome(stat, results, statuses, pool_broken, backend=used)
-
-
-def run_replications(
-    network: Network,
-    policy: RoutingPolicy,
-    traffic: TrafficMatrix,
-    config: ReplicationConfig = PAPER_CONFIG,
-    traces: Sequence[ArrivalTrace] | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    seed_timeout: float | None = None,
-    max_seed_retries: int = 1,
-    workload: Workload | None = None,
-    backend: str = "auto",
-) -> tuple[SweepStatistic, list[SimulationResult]]:
-    """Run one policy over all seeds; returns aggregate blocking + raw results.
-
-    Pre-generated ``traces`` may be passed to share them across policies
-    (``compare_policies`` does); otherwise they are generated per seed.
-    This is the historical interface; :func:`run_replications_detailed`
-    additionally returns the per-seed status report.
-    """
-    outcome = run_replications_detailed(
-        network, policy, traffic, config,
-        traces=traces, parallel=parallel, max_workers=max_workers,
-        seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
-        workload=workload, backend=backend,
-    )
-    return outcome.stat, outcome.results
+    ))
 
 
 def compare_policies(
@@ -540,31 +576,22 @@ def compare_policies(
 
     This is the paper's common-random-numbers comparison: differences
     between policies reflect routing decisions only, never sampling noise in
-    the arrival processes.  ``parallel=True`` fans seeds over a process pool
-    per policy; trace generation is deterministic per seed, so the common-
-    random-numbers discipline is preserved (workers rebuild the same traces
-    — and a retried seed rebuilds the same trace again).  ``backend``
-    selects the execution engine per policy sweep (see
-    :func:`run_replications_detailed`); all engines are bit-identical.
+    the arrival processes.  Serially each seed's trace is generated once and
+    replayed by every policy; ``parallel=True`` fans each policy's seeds
+    over a process pool whose workers rebuild the same traces from the seed
+    (and a retried seed rebuilds the same trace again).  ``backend``,
+    ``seed_timeout`` and ``max_seed_retries`` mean what they mean for
+    :func:`run_replications_detailed`; all engines are bit-identical.
     """
-    comparison: dict[str, SweepStatistic] = {}
-    if parallel:
-        for label, policy in policies.items():
-            stat, __ = run_replications(
-                network, policy, traffic, config,
-                parallel=True, max_workers=max_workers,
-                seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
-                backend=backend,
-            )
-            comparison[label] = stat
-        return comparison
-    traces = [generate_trace(traffic, config.duration, seed) for seed in config.seeds]
-    for label, policy in policies.items():
-        stat, __ = run_replications(
-            network, policy, traffic, config, traces=traces, backend=backend
-        )
-        comparison[label] = stat
-    return comparison
+    runs = _run_policies(
+        network, traffic, config,
+        groups={label: config.seeds for label in policies},
+        build_policy=policies.__getitem__,
+        make_trace=partial(_make_trace, traffic, None, config.duration),
+        parallel=parallel, max_workers=max_workers, seed_timeout=seed_timeout,
+        max_seed_retries=max_seed_retries, workload=None, backend=backend,
+    )
+    return {label: _outcome(*run).stat for label, run in runs.items()}
 
 
 @dataclass

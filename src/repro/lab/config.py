@@ -31,8 +31,9 @@ class LabConfig:
     ``max_jobs``
         Cap on the jobs one pass attempts (cache hits are free; a job that
         fails after its retries counts), then stop and checkpoint.  The cap
-        is applied before a policy's jobs start, so a pool never simulates
-        past it.  ``None`` = run to completion.  This is the deterministic
+        is applied when a pass starts, before any job runs, so a pool never
+        simulates past it and traces are built only for the seeds it runs.
+        ``None`` = run to completion.  This is the deterministic
         stand-in for an interrupt: the resume tests use it to stop a study
         halfway.
     ``progress_every``

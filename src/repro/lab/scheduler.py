@@ -9,33 +9,35 @@ manifest rewritten, so a crash or interrupt loses at most the jobs that
 were in flight — rerunning the identical call (or ``repro-routing lab
 resume``) picks up exactly where the run stopped.
 
-Determinism: a job is ``generate_trace(traffic, duration, seed)`` followed
-by ``simulate(...)`` — fully determined by its key — so a resumed study is
-bit-identical to an uninterrupted one, and a repeated study completes with
-100% cache hits and zero simulation work (the common-random-numbers
-discipline survives because traces are regenerated from the seed, never
-stored).
+Determinism: a job is one policy replaying its seed's trace, built by
+``Scenario.make_trace(duration, seed)`` — fully determined by its key — so
+a resumed study is bit-identical to an uninterrupted one, and a repeated
+study completes with 100% cache hits and zero simulation work (the
+common-random-numbers discipline survives because traces are regenerated
+from the seed, never stored).
 
-Execution is the replication runner's: each policy's pending jobs go to
-the executor behind :func:`repro.experiments.runner.run_replications_detailed`
-as one seed group, so the lab gets the same lockstep batch kernel, pool
-timeouts, retries and serial fallback as a direct study.  The executor
-reports each seed as it finishes, and the scheduler checkpoints it there.
+Execution is the replication runner's study loop, the one a direct
+:func:`repro.api.run_study` uses: a pass allots its ``max_jobs`` budget up
+front, builds one trace per seed that still has a job to run, and every
+policy with pending jobs replays those traces as one seed group of the
+runner's executor — the same lockstep batch kernel, pool timeouts, retries
+and serial fallback as a direct study.  The executor reports each seed as
+it finishes, and the scheduler checkpoints it there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 from ..experiments.runner import (
     PAPER_CONFIG,
     ReplicationConfig,
-    ReplicationOutcome,
     SeedStatus,
-    _execute,
+    _outcome,
+    _run_policies,
 )
-from ..sim.metrics import aggregate
 from .config import LabConfig
 from .events import EventBus
 from .hashing import config_signature, job_key, scenario_signature, study_key
@@ -259,13 +261,6 @@ class _StudyRun:
             else remaining / throughput,
         )
 
-    def within_budget(self, group: list[JobSpec]) -> list[JobSpec]:
-        """The leading jobs of ``group`` this pass may still attempt."""
-        if self.lab.max_jobs is None:
-            return group
-        attempted = self.report.simulated + self.report.failed
-        return group[:max(0, self.lab.max_jobs - attempted)]
-
 
 def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str) -> dict:
     # The backend is recorded for provenance, never hashed into job_key:
@@ -280,44 +275,6 @@ def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str) -> dict:
         "seed": job.seed,
         "backend": backend,
     }
-
-
-def _run_group(run, scenario, scenario_sig, config_sig, config, policy_name,
-               group, *, parallel, max_workers, seed_timeout,
-               max_seed_retries, backend) -> None:
-    """Run one policy's pending jobs as one seed group of the runner's executor.
-
-    Each seed is checkpointed as soon as the executor reports it, with the
-    engine that produced it as provenance; seeds that exhaust their retries
-    are recorded as failed afterwards.  Jobs not yet reported stay
-    ``pending``.
-    """
-    jobs = {job.seed: job for job in group}
-    traces = None if parallel else [
-        scenario.make_trace(config.duration, seed) for seed in jobs
-    ]
-
-    def checkpoint(status, result):
-        job = jobs[status.seed]
-        run.store.put_result(
-            job.key, result,
-            _provenance(scenario_sig, config_sig, job, status.backend),
-        )
-        run.record_finished(job, status.wall_clock)
-
-    for job in group:
-        run.record_started(job, worker="pool" if parallel else "serial")
-    statuses, *__ = _execute(
-        scenario.network, scenario.build_policy(policy_name),
-        scenario.traffic_matrix, replace(config, seeds=tuple(jobs)),
-        traces=traces, parallel=parallel, max_workers=max_workers,
-        seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
-        workload=scenario.resolved_workload(config.duration),
-        backend=backend, on_result=checkpoint,
-    )
-    for status in statuses:
-        if not status.completed:
-            run.record_failed(jobs[status.seed], status.errors[-1], status.attempts)
 
 
 def run_lab_study(
@@ -339,8 +296,13 @@ def run_lab_study(
     — bit-identical, whatever mix of cache hits and fresh simulation served
     it — with the pass's :class:`LabRunReport` attached as ``.lab``.
 
-    Each policy's pending jobs run as one seed group through the
-    replication runner's executor, with the arguments of
+    The policy list gets :func:`~repro.api.run_study`'s check first: an
+    empty list, a repeated name or an unknown name raises ``ValueError``
+    before the store, a manifest or a trace is touched.  A pass then takes
+    the first ``max_jobs`` pending jobs (all of them by default), builds one
+    trace per seed that still has a job to run, and each policy replays
+    those traces as one seed group of the replication runner's executor,
+    with the arguments of
     :func:`~repro.experiments.runner.run_replications_detailed`: under
     ``"auto"`` the serial path runs the group in one lockstep
     batch-kernel call when the configuration allows, falling back per seed
@@ -354,13 +316,13 @@ def run_lab_study(
     budget or ``KeyboardInterrupt``); completed jobs are already
     checkpointed, so the identical call resumes the study.
     """
-    from ..api import StudyResult
+    from ..api import StudyResult, _policy_names
     from .._compat import resolve_backend
 
+    names = _policy_names(scenario, policies)
     backend = resolve_backend(backend)
     lab = lab if lab is not None else LabConfig()
     store = ResultStore(lab.store_path)
-    names = (scenario.policy,) if policies is None else tuple(policies)
     scenario_sig = scenario_signature(scenario)
     config_sig = config_signature(config)
     jobs = [
@@ -370,6 +332,7 @@ def run_lab_study(
         for name in names
         for seed in config.seeds
     ]
+    index = {(job.policy, job.seed): job for job in jobs}
     skey = study_key(scenario_sig, names, config_sig, tuple(config.seeds),
                      RESULT_SCHEMA_VERSION)
     manifest = store.load_manifest(skey)
@@ -396,20 +359,37 @@ def run_lab_study(
         for job in cached:
             run.record_cache_hit(job)
         run.checkpoint()
-        finished_all = True
-        for name in names:
-            group = [job for job in pending if job.policy == name]
-            allowed = run.within_budget(group)
-            if allowed:
-                _run_group(
-                    run, scenario, scenario_sig, config_sig, config, name,
-                    allowed, parallel=parallel, max_workers=max_workers,
-                    seed_timeout=seed_timeout,
-                    max_seed_retries=max_seed_retries, backend=backend,
-                )
-            if len(allowed) < len(group):
-                finished_all = False
-                break
+        allowed = pending if lab.max_jobs is None else pending[:lab.max_jobs]
+        for job in allowed:
+            run.record_started(job, worker="pool" if parallel else "serial")
+
+        def checkpoint(name, status, result):
+            job = index[name, status.seed]
+            store.put_result(
+                job.key, result,
+                _provenance(scenario_sig, config_sig, job, status.backend),
+            )
+            run.record_finished(job, status.wall_clock)
+
+        runs = _run_policies(
+            scenario.network, scenario.traffic_matrix, config,
+            groups={
+                name: [job.seed for job in allowed if job.policy == name]
+                for name in names
+            },
+            build_policy=scenario.build_policy,
+            make_trace=partial(scenario.make_trace, config.duration),
+            parallel=parallel, max_workers=max_workers,
+            seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
+            workload=scenario.resolved_workload(config.duration),
+            backend=backend, on_result=checkpoint,
+        ) if allowed else {}
+        for name, (statuses, *__) in runs.items():
+            for status in statuses:
+                if not status.completed:
+                    run.record_failed(index[name, status.seed],
+                                      status.errors[-1], status.attempts)
+        finished_all = len(allowed) == len(pending)
     except KeyboardInterrupt:
         run.report.interrupted = True
         run.report.elapsed = time.perf_counter() - started
@@ -434,7 +414,7 @@ def run_lab_study(
     for name in names:
         results, statuses = [], []
         for seed in config.seeds:
-            job = next(j for j in jobs if j.policy == name and j.seed == seed)
+            job = index[name, seed]
             document = store.get(job.key)
             result = result_from_document(document)
             job_backend = (document.get("provenance") or {}).get("backend")
@@ -448,12 +428,9 @@ def run_lab_study(
                 backend=job_backend,
             ))
             results.append(result)
-        stat = aggregate([result.network_blocking for result in results])
-        group_backend = (
-            "batch" if any(s.backend == "batch" for s in statuses) else backend
-        )
-        outcomes[name] = ReplicationOutcome(
-            stat, results, statuses, backend=group_backend
+        outcomes[name] = _outcome(
+            statuses, results, False,
+            "batch" if any(s.backend == "batch" for s in statuses) else backend,
         )
     run.emit_progress()
     bus.emit(

@@ -99,6 +99,17 @@ class LoadProfile:
         """The multiplier in force at ``time``."""
         return self.scales[bisect_right(self.breakpoints, time)]
 
+    def mean_scale(self, duration: float) -> float:
+        """The time-averaged multiplier over ``[0, duration)``.
+
+        Piecewise-constant, so it integrates exactly (no sampling).
+        """
+        edges = [0.0] + [b for b in self.breakpoints if 0.0 < b < duration]
+        edges.append(duration)
+        return sum(
+            self.scale_at(t0) * (t1 - t0) for t0, t1 in zip(edges, edges[1:])
+        ) / duration
+
     def scales_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`scale_at` over an array of times."""
         scales = np.asarray(self.scales, dtype=float)

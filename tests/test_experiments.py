@@ -16,7 +16,7 @@ from repro.experiments.runner import (
     PAPER_CONFIG,
     ReplicationConfig,
     compare_policies,
-    run_replications,
+    run_replications_detailed,
 )
 from repro.experiments.tables import regenerate_table1, table1_agreement
 from repro.routing.single_path import SinglePathRouting
@@ -40,7 +40,10 @@ class TestRunner:
     def test_run_replications(self, quad_network, quad_table, fast_config):
         traffic = uniform_traffic(4, 80.0)
         policy = SinglePathRouting(quad_network, quad_table)
-        stat, results = run_replications(quad_network, policy, traffic, fast_config)
+        outcome = run_replications_detailed(
+            quad_network, policy, traffic, fast_config
+        )
+        stat, results = outcome.stat, outcome.results
         assert stat.num_runs == len(fast_config.seeds)
         assert len(results) == len(fast_config.seeds)
         assert 0.0 <= stat.mean <= 1.0

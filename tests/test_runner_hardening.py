@@ -18,7 +18,6 @@ import pytest
 
 from repro.experiments.runner import (
     ReplicationConfig,
-    run_replications,
     run_replications_detailed,
     _shared_context_worker,
 )
@@ -93,15 +92,13 @@ def hung_sweep() -> None:
 class TestHardenedRunner:
     def test_parallel_matches_serial(self):
         network, policy, traffic = _fixture()
-        serial_stat, serial_results = run_replications(
-            network, policy, traffic, CONFIG
-        )
-        parallel_stat, parallel_results = run_replications(
+        serial = run_replications_detailed(network, policy, traffic, CONFIG)
+        parallel = run_replications_detailed(
             network, policy, traffic, CONFIG, parallel=True, max_workers=2
         )
-        assert parallel_stat == serial_stat
-        assert [r.total_blocked for r in parallel_results] == [
-            r.total_blocked for r in serial_results
+        assert parallel.stat == serial.stat
+        assert [r.total_blocked for r in parallel.results] == [
+            r.total_blocked for r in serial.results
         ]
 
     def test_crashed_seed_retried(self, tmp_path, monkeypatch):
@@ -116,7 +113,9 @@ class TestHardenedRunner:
         assert len(outcome.results) == len(CONFIG.seeds)
         assert all(s.attempts == 2 for s in outcome.statuses)
         assert all("injected" in s.errors[0] for s in outcome.statuses)
-        reference, __ = run_replications(network, policy, traffic, CONFIG)
+        reference = run_replications_detailed(
+            network, policy, traffic, CONFIG
+        ).stat
         assert outcome.stat == reference
 
     def test_timed_out_seed_retried_and_sweep_completes(self, tmp_path, monkeypatch):
@@ -132,7 +131,9 @@ class TestHardenedRunner:
         assert hung.timeouts == 1
         assert hung.attempts == 2
         assert "timeout" in hung.errors[0]
-        reference, __ = run_replications(network, policy, traffic, CONFIG)
+        reference = run_replications_detailed(
+            network, policy, traffic, CONFIG
+        ).stat
         assert outcome.stat == reference
 
     def test_exhausted_seed_reported_not_fatal(self):
@@ -166,7 +167,9 @@ class TestHardenedRunner:
         assert outcome.pool_broken
         assert outcome.all_completed
         assert any(s.fallback for s in outcome.statuses)
-        reference, __ = run_replications(network, policy, traffic, CONFIG)
+        reference = run_replications_detailed(
+            network, policy, traffic, CONFIG
+        ).stat
         assert outcome.stat == reference
 
     def test_timed_out_worker_does_not_outlive_the_sweep(self):

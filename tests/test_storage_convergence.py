@@ -157,20 +157,21 @@ class TestParallelRunner:
     def test_parallel_matches_serial_bitwise(self, quad_network, quad_table):
         import numpy as np
 
-        from repro.experiments.runner import ReplicationConfig, run_replications
+        from repro.experiments.runner import (
+            ReplicationConfig,
+            run_replications_detailed,
+        )
         from repro.routing.alternate import UncontrolledAlternateRouting
 
         config = ReplicationConfig(measured_duration=10.0, warmup=2.0, seeds=(0, 1, 2))
         traffic = uniform_traffic(4, 90.0)
         policy = UncontrolledAlternateRouting(quad_network, quad_table)
-        serial_stat, serial_results = run_replications(
-            quad_network, policy, traffic, config
-        )
-        parallel_stat, parallel_results = run_replications(
+        serial = run_replications_detailed(quad_network, policy, traffic, config)
+        parallel = run_replications_detailed(
             quad_network, policy, traffic, config, parallel=True, max_workers=2
         )
-        assert parallel_stat.values == serial_stat.values
-        for a, b in zip(serial_results, parallel_results):
+        assert parallel.stat.values == serial.stat.values
+        for a, b in zip(serial.results, parallel.results):
             assert np.array_equal(a.blocked, b.blocked)
             assert a.seed == b.seed
 
