@@ -17,7 +17,12 @@ claws back:
   *network* refused (blocked) from calls the *infrastructure* lost
   (dropped).
 
-Results land in ``BENCH_adversarial_load.json`` at the repo root.
+Results land in ``BENCH_adversarial_load.json`` at the repo root.  What
+the shard-kill run admits, blocks and drops depends on when the
+supervisor's heartbeat monitor restarts the killed shard, so two runs of
+one build disagree on those counts: the file keeps them under
+``surge_with_shard_kill.timing_sample`` as one run's sample, beside the
+fields that repeat run to run.
 Fidelity knobs shared with the other benchmarks: ``REPRO_BENCH_SEEDS``,
 ``REPRO_BENCH_DURATION``.
 """
@@ -32,6 +37,12 @@ from repro.experiments.report import format_table
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _OUTPUT = _REPO_ROOT / "BENCH_adversarial_load.json"
+
+#: Shard-kill fields that hinge on restart timing or the wall clock.
+_TIMING_FIELDS = (
+    "admitted", "blocked", "dropped", "blocked_fraction", "dropped_fraction",
+    "drop_reasons", "network_blocking", "restarts", "wall_seconds",
+)
 
 
 def _surge_with_shard_kill(config) -> dict:
@@ -78,9 +89,10 @@ def test_adversarial_load(bench_config):
         rows,
     ))
     print(
-        f"surge + shard kill: blocked {surge['blocked_fraction']:.1%} "
-        f"(admission) vs dropped {surge['dropped_fraction']:.1%} "
-        f"(infrastructure), restarts {surge['restarts']}"
+        f"surge + shard kill (one timing sample): blocked "
+        f"{surge['blocked_fraction']:.1%} (admission) vs dropped "
+        f"{surge['dropped_fraction']:.1%} (infrastructure), "
+        f"restarts {surge['restarts']}"
     )
 
     workloads = study["workloads"]
@@ -115,14 +127,18 @@ def test_adversarial_load(bench_config):
         "killed shard was never restarted"
     )
 
+    repeatable = {k: v for k, v in surge.items() if k not in _TIMING_FIELDS}
     document = {
-        "schema": "repro-bench-adversarial-load-v1",
+        "schema": "repro-bench-adversarial-load-v2",
         "fidelity": {
             "seeds": len(bench_config.seeds),
             "measured_duration": bench_config.measured_duration,
         },
         "study": study,
-        "surge_with_shard_kill": surge,
+        "surge_with_shard_kill": {
+            **repeatable,
+            "timing_sample": {k: surge[k] for k in _TIMING_FIELDS},
+        },
     }
     _OUTPUT.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {_OUTPUT}")

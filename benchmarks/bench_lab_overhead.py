@@ -14,9 +14,13 @@ three ways:
 
 Two policies make the comparison honest about shared work: a direct study
 builds each seed's trace once for both policies, and so must the lab.  The
-cold pass must be bit-identical to the direct run and its overhead must
-stay under the bar (default 5%; the paper-fidelity number is the committed
-``BENCH_lab_overhead.json``, with the machine it ran on).  Short CI runs
+cold pass must be bit-identical to the direct run.  Each round times the
+direct study and the cold pass back to back, and the overhead is the
+median over rounds of the round's ``cold / direct - 1``: the box's speed
+drifts between rounds, so two timings are only compared within one round.
+It must stay under the bar (default 5%; the paper-fidelity number is the
+committed ``BENCH_lab_overhead.json``, with every round's pair and the
+machine it ran on).  Short CI runs
 amortize the fixed orchestration cost over far less simulation, so the bar
 is tunable via ``REPRO_BENCH_LAB_OVERHEAD_PCT``.  Fidelity knobs are shared
 with the other benchmarks: ``REPRO_BENCH_SEEDS``, ``REPRO_BENCH_DURATION``.
@@ -44,21 +48,25 @@ _POLICIES = ("controlled", "dar")
 def test_lab_overhead(bench_config, bench_environment, tmp_path):
     scenario = Scenario()
 
-    # Interleaved best-of-N: alternating direct/lab rounds cancels CPU
-    # frequency drift.  Every lab round gets a fresh store so each one
-    # pays the full cold-cache cost.
-    best_direct = best_cold = float("inf")
+    # Every lab round gets a fresh store so each one pays the full
+    # cold-cache cost.
+    rounds = []
     direct = cold = None
     for round_index in range(_ROUNDS):
         start = time.perf_counter()
         direct = run_study(scenario, policies=_POLICIES, config=bench_config)
-        best_direct = min(best_direct, time.perf_counter() - start)
+        direct_seconds = time.perf_counter() - start
 
         store = tmp_path / f"store-{round_index}"
         start = time.perf_counter()
         cold = run_study(scenario, policies=_POLICIES, config=bench_config,
                          lab=LabConfig(store=store))
-        best_cold = min(best_cold, time.perf_counter() - start)
+        cold_seconds = time.perf_counter() - start
+        rounds.append({
+            "direct_seconds": direct_seconds,
+            "lab_cold_seconds": cold_seconds,
+            "overhead_pct": 100.0 * (cold_seconds / direct_seconds - 1.0),
+        })
 
     assert cold.lab.simulated == len(_POLICIES) * len(bench_config.seeds)
     assert cold.blocking() == direct.blocking()
@@ -78,15 +86,15 @@ def test_lab_overhead(bench_config, bench_environment, tmp_path):
     assert warm.lab.simulated == 0
     assert warm.blocking() == direct.blocking()
 
-    overhead_pct = 100.0 * (best_cold - best_direct) / best_direct
+    overhead_pct = float(np.median([pair["overhead_pct"] for pair in rounds]))
+    median_direct = float(np.median([pair["direct_seconds"] for pair in rounds]))
     assert overhead_pct <= _OVERHEAD_BAR_PCT, (
-        f"lab orchestration overhead {overhead_pct:.1f}% exceeds the "
-        f"{_OVERHEAD_BAR_PCT:g}% bar ({best_cold:.3f}s lab vs "
-        f"{best_direct:.3f}s direct)"
+        f"lab orchestration overhead {overhead_pct:.1f}% (median of "
+        f"{len(rounds)} paired rounds) exceeds the {_OVERHEAD_BAR_PCT:g}% bar"
     )
 
     document = {
-        "schema": "repro-bench-lab-overhead-v2",
+        "schema": "repro-bench-lab-overhead-v3",
         "environment": bench_environment,
         "workload": (
             "repro.api.run_study: NSFNet nominal, policies "
@@ -99,17 +107,19 @@ def test_lab_overhead(bench_config, bench_environment, tmp_path):
             "measured_duration": bench_config.measured_duration,
             "overhead_bar_pct": _OVERHEAD_BAR_PCT,
         },
-        "direct_seconds": best_direct,
-        "lab_cold_seconds": best_cold,
-        "lab_warm_seconds": warm_seconds,
+        "rounds": rounds,
         "overhead_pct": overhead_pct,
-        "warm_speedup_vs_direct": best_direct / warm_seconds,
+        "lab_warm_seconds": warm_seconds,
+        "warm_speedup_vs_direct": median_direct / warm_seconds,
         "bit_identical": True,
     }
     _OUTPUT.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print()
-    print(f"direct   : {best_direct:.3f}s")
-    print(f"lab cold : {best_cold:.3f}s  (+{overhead_pct:.2f}%)")
+    for index, pair in enumerate(rounds):
+        print(f"round {index}: direct {pair['direct_seconds']:.3f}s, "
+              f"lab cold {pair['lab_cold_seconds']:.3f}s "
+              f"({pair['overhead_pct']:+.2f}%)")
+    print(f"overhead : {overhead_pct:+.2f}% (median of paired rounds)")
     print(f"lab warm : {warm_seconds:.3f}s  "
-          f"({best_direct / warm_seconds:.0f}x faster than direct)")
+          f"({median_direct / warm_seconds:.0f}x faster than direct)")
     print(f"wrote {_OUTPUT}")

@@ -14,7 +14,9 @@ Two workloads over the same NSFNet nominal-traffic trace:
   substantial fraction, keep the decision-latency p99 bounded, and record
   explicit mode transitions (the degrade/shed/recover trajectory).
 
-Results land in ``BENCH_serve_throughput.json`` at the repo root.
+Results land in ``BENCH_serve_throughput.json`` at the repo root, with
+the machine they ran on (perfbench's environment block, shared through
+the ``bench_environment`` fixture).
 Fidelity knobs shared with the other benchmarks: ``REPRO_BENCH_SEEDS``
 (unused here), ``REPRO_BENCH_DURATION``, and ``REPRO_BENCH_SPEEDUP_SCALE``
 for CI's timing-noise-dominated smoke runs.
@@ -46,7 +48,7 @@ _BATCH_SPEEDUP_BAR = 3.0 * _SPEEDUP_SCALE
 _OVERLOAD_P99_BAR_SECONDS = 0.005
 
 
-def test_serve_throughput(bench_config):
+def test_serve_throughput(bench_config, bench_environment):
     network = nsfnet_backbone()
     table = build_path_table(network)
     traffic = nsfnet_nominal_traffic()
@@ -78,6 +80,7 @@ def test_serve_throughput(bench_config):
 
     document = {
         "schema": "repro-bench-serve-throughput-v1",
+        "environment": bench_environment,
         "fidelity": {
             "measured_duration": bench_config.measured_duration,
             "speedup_scale": _SPEEDUP_SCALE,

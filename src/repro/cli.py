@@ -521,7 +521,7 @@ def _serve_engine(args: argparse.Namespace, network, policy, scenario):
             raise SystemExit(f"serve: {exc}")
     engine = RequestEngine(
         network, policy, state=state, overload=overload, control=control,
-        batch=BatchConfig(max_batch=args.batch, max_latency=args.max_latency),
+        batch=BatchConfig(max_batch=args.batch),
     )
     if getattr(args, "events", None):
         from .lab.events import EventBus
@@ -1101,8 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
                               " (default stationary)")
     # The request-engine flags: only run and replay build an engine.
     for cmd in (serve_run, serve_replay):
-        cmd.add_argument("--max-latency", type=_non_negative_float, default=0.002,
-                         help="micro-batch flush deadline in seconds")
         cmd.add_argument("--rate", type=_positive_float, default=None,
                          help="token-bucket admission-query rate (enables shedding)")
         cmd.add_argument("--burst", type=_positive_float, default=256.0)

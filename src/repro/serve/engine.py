@@ -21,8 +21,9 @@ telemetry fold, latency stamp), while :meth:`RequestEngine.decide_batch`
 amortizes all of that over a tight loop — the per-decision bookkeeping is
 hoisted out, so batched dispatch is several times faster at identical
 decisions (``benchmarks/bench_serve_throughput.py`` quantifies it).  The
-asyncio front end (:mod:`repro.serve.server`) accumulates concurrent
-requests into batches bounded by :class:`BatchConfig`.
+asyncio front end (:mod:`repro.serve.server`) decides the requests queued
+in one event-loop turn as one batch on the next turn, at most
+:attr:`BatchConfig.max_batch` at a time.
 
 Overload protection (:mod:`repro.serve.shed`) is consulted per query:
 ``degraded`` mode skips alternate-path exploration (primary-only routing),
@@ -108,21 +109,18 @@ class Decision:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Micro-batching knobs for the asyncio front end.
+    """Micro-batching knob for the asyncio front end.
 
-    ``max_batch`` caps how many queued requests one dispatch decides;
-    ``max_latency`` (seconds) bounds how long a lone request may wait for
-    company before the batch is flushed anyway.
+    ``max_batch`` caps how many queued requests one dispatch decides.
+    The front end decides whatever queued in one event-loop turn on the
+    next turn, so no request waits for a batch to fill.
     """
 
     max_batch: int = 64
-    max_latency: float = 0.002
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if self.max_latency < 0:
-            raise ValueError("max_latency must be non-negative")
 
 
 class RequestEngine:

@@ -17,12 +17,13 @@ Admit/release answers are the engine's :class:`Decision` as JSON.  ``t``
 is the request's virtual timestamp (trace time under replay); omit it for
 wall-clock operation.
 
-Requests from *all* connections funnel through one micro-batcher: a
-request waits at most ``BatchConfig.max_latency`` seconds or until
-``max_batch`` peers queue up, then the whole batch is decided in one
-:meth:`~repro.serve.engine.RequestEngine.decide_batch` call.  If the
-queue is already at the overload control's hard limit the request is
-answered ``shed`` immediately — the queue never grows without bound.
+Requests from *all* connections funnel through one micro-batcher: what
+is submitted in one event-loop turn is decided in one
+:meth:`~repro.serve.engine.RequestEngine.decide_batch` call on the next
+turn (at once if ``max_batch`` queue up), so batches grow with load while
+a lone request waits only for the work ahead of it.  If the queue is
+already at the overload control's hard limit the request is answered
+``shed`` immediately — the queue never grows without bound.
 
 Lifecycle: :meth:`start` binds and serves; :meth:`drain` stops accepting
 new connections and flushes every queued request; :meth:`stop` drains,
@@ -64,12 +65,12 @@ def parse_request(message: dict) -> AdmitRequest | ReleaseRequest:
 
 
 class _MicroBatcher:
-    """Accumulate requests across connections; flush by size or deadline."""
+    """Accumulate requests across connections; flush when ``max_batch``
+    queue up or on the event loop's next turn, whichever comes first."""
 
     def __init__(self, engine: RequestEngine):
         self.engine = engine
         self._pending: list[tuple[AdmitRequest | ReleaseRequest, asyncio.Future]] = []
-        self._timer: asyncio.TimerHandle | None = None
 
     def submit(self, request: AdmitRequest | ReleaseRequest) -> asyncio.Future:
         loop = asyncio.get_running_loop()
@@ -92,15 +93,14 @@ class _MicroBatcher:
         engine.queue_depth = len(self._pending)
         if len(self._pending) >= engine.batch.max_batch:
             self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(engine.batch.max_latency, self.flush)
+        elif len(self._pending) == 1:
+            # First of a batch: decided, with whatever joins it this turn,
+            # on the next turn (a call after an earlier flush finds nothing).
+            loop.call_soon(self.flush)
         return future
 
     def flush(self) -> None:
         """Decide everything queued right now, resolving the futures."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         if not self._pending:
             return
         batch, self._pending = self._pending, []

@@ -81,6 +81,16 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_no_micro_batch_deadline_flag(self, command):
+        # The batcher flushes on the event loop's next turn, so there is
+        # no flush deadline to set.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve", command, "--max-latency", "0.002"]
+            )
+        assert exit_info.value.code == 2
+
 
 class TestCommands:
     def test_figure2(self, capsys):

@@ -274,9 +274,10 @@ class TestServer:
             )
             engine = RequestEngine(
                 quad_network, quad_policy, overload=control,
-                batch=BatchConfig(max_batch=1000, max_latency=10.0),
+                batch=BatchConfig(max_batch=1000),
             )
             server = ServeServer(engine)
+            # All in one loop turn: the batch's flush cannot run in between.
             futures = [
                 server.batcher.submit(AdmitRequest(id=i, od=od, time=0.0))
                 for i in range(20)
@@ -296,6 +297,41 @@ class TestServer:
                 "serve_rejected_total", reason="shed"
             )
             assert shed_counter.value == 12
+
+        asyncio.run(run())
+
+    def test_lone_request_is_decided_on_the_next_loop_turn(
+        self, quad_network, quad_policy
+    ):
+        od = next(iter(quad_policy.choices))
+
+        async def run():
+            server = ServeServer(RequestEngine(quad_network, quad_policy))
+            future = server.batcher.submit(AdmitRequest(id=1, od=od))
+            assert not future.done()
+            await asyncio.sleep(0)
+            assert future.done() and future.result().admitted
+
+        asyncio.run(run())
+
+    def test_one_loop_turn_is_one_batch(self, quad_network, quad_policy):
+        od = next(iter(quad_policy.choices))
+
+        async def run():
+            engine = RequestEngine(quad_network, quad_policy)
+            server = ServeServer(engine)
+            ids = iter(range(7))
+            # (requests submitted in one turn, batches and requests so far)
+            for size, batches, total in ((5, 1, 5), (2, 2, 7)):
+                futures = [
+                    server.batcher.submit(AdmitRequest(id=next(ids), od=od))
+                    for __ in range(size)
+                ]
+                await asyncio.sleep(0)
+                assert all(future.done() for future in futures)
+                snapshot = engine.telemetry.snapshot()
+                assert snapshot["serve_batch_size_count"] == batches
+                assert snapshot["serve_batch_size_sum"] == total
 
         asyncio.run(run())
 
@@ -492,28 +528,18 @@ class TestServerAbuseBounds:
         od = next(iter(quad_policy.choices))
 
         async def run():
-            engine = RequestEngine(
-                quad_network, quad_policy,
-                batch=BatchConfig(max_batch=1000, max_latency=30.0),
-            )
+            engine = RequestEngine(quad_network, quad_policy)
             server = ServeServer(engine)
             await server.start()
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
             )
-            # Queued but unflushed (the batch window is far away) ...
-            writer.write(
-                json.dumps({"op": "admit", "id": 1, "od": list(od)}).encode()
-                + b"\n"
-            )
-            await writer.drain()
-            while not server.batcher._pending:
-                await asyncio.sleep(0)
-            # ... when the drain starts: the backlog must still be decided,
-            # while anything arriving after the drain is refused.
+            # Queued in the same loop turn as the drain starts, so its
+            # flush is still ahead: the backlog must still be decided ...
+            backlog = server.batcher.submit(AdmitRequest(id=1, od=od))
             await server.drain()
-            flushed = json.loads(await reader.readline())
-            assert flushed["admitted"] is True
+            assert backlog.done() and backlog.result().admitted
+            # ... while anything arriving after the drain is refused.
             writer.write(
                 json.dumps({"op": "admit", "id": 2, "od": list(od)}).encode()
                 + b"\n"
@@ -532,11 +558,12 @@ class TestServerAbuseBounds:
     ):
         od = next(iter(quad_policy.choices))
 
+        async def first_decision(engine):
+            while engine.decisions_total < 1:
+                await asyncio.sleep(0.001)
+
         async def run():
-            engine = RequestEngine(
-                quad_network, quad_policy,
-                batch=BatchConfig(max_batch=1000, max_latency=0.02),
-            )
+            engine = RequestEngine(quad_network, quad_policy)
             async with ServeServer(engine) as server:
                 __, writer = await asyncio.open_connection(
                     server.host, server.port
@@ -545,14 +572,12 @@ class TestServerAbuseBounds:
                     json.dumps({"op": "admit", "id": 1, "od": list(od)}).encode()
                     + b"\n"
                 )
-                await writer.drain()
-                while not server.batcher._pending:
-                    await asyncio.sleep(0)
-                # Vanish before the batch flushes: the decision has nowhere
-                # to go, but the batch must still be decided and the server
-                # must keep serving everyone else.
+                # Vanish in the same loop turn, before the server has even
+                # read the line: the decision has nowhere to go, but it must
+                # still be made and the server must keep serving everyone
+                # else.
                 writer.transport.abort()
-                await asyncio.sleep(0.05)
+                await asyncio.wait_for(first_decision(engine), timeout=5.0)
                 assert engine.decisions_total == 1
                 await self._served(server, od, call_id=2)
                 assert engine.decisions_total == 2

@@ -14,6 +14,10 @@ blocking and alternate-routing statistics — the socket hop may change
 throughput, never decisions.  Each run leaves its telemetry snapshots as
 JSONL in the chosen workdir so CI can upload them as artifacts; the
 smoke also checks the logs actually contain ``serve_metrics`` events.
+The socket replay sends its whole stream without waiting for answers, so
+the server's micro-batcher, which decides what one event-loop turn
+queued, must still fill batches: the last snapshot's mean batch must be
+at least half of ``--batch``.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py [--workdir DIR]
 """
@@ -30,11 +34,14 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
+MAX_BATCH = 64
+
 REPLAY_ARGS = [
     "serve", "replay",
     "--topology", "nsfnet", "--traffic", "nominal",
     "--policy", "controlled",
     "--duration", "8", "--warmup", "2", "--seed", "7",
+    "--batch", str(MAX_BATCH),
     "--json",
 ]
 
@@ -64,7 +71,7 @@ def run_replay(extra: list[str]) -> dict:
     return json.loads(completed.stdout)
 
 
-def check_telemetry(log: Path) -> int:
+def check_telemetry(log: Path) -> list[dict]:
     if not log.is_file():
         raise SystemExit(f"no telemetry log at {log}")
     events = [json.loads(line) for line in log.read_text().splitlines() if line]
@@ -78,7 +85,7 @@ def check_telemetry(log: Path) -> int:
     )
     if not decided > 0:
         raise SystemExit(f"{log} telemetry saw no decisions")
-    return len(snapshots)
+    return snapshots
 
 
 def main() -> int:
@@ -117,8 +124,17 @@ def main() -> int:
 
     print("[3/3] telemetry logs")
     for log in (in_process_log, socket_log):
-        count = check_telemetry(log)
-        print(f"      {log.name}: {count} serve_metrics snapshots")
+        snapshots = check_telemetry(log)
+        print(f"      {log.name}: {len(snapshots)} serve_metrics snapshots")
+    final = snapshots[-1]  # the socket replay's, checked last
+    mean_batch = final["serve_batch_size_sum"] / final["serve_batch_size_count"]
+    if mean_batch < MAX_BATCH / 2:
+        raise SystemExit(
+            f"socket replay decided {mean_batch:.2f} requests per batch, "
+            f"under half of --batch {MAX_BATCH}: a pipelined stream must "
+            "still fill micro-batches"
+        )
+    print(f"      socket replay: mean micro-batch {mean_batch:.2f} of {MAX_BATCH}")
 
     print(
         "OK: socket and in-process replays are decision-identical to the "
